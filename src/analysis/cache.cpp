@@ -12,7 +12,7 @@
 #include <system_error>
 #include <tuple>
 
-#include "blocklist/catalogue.h"
+#include "analysis/stage_runner.h"
 #include "netbase/serialize.h"
 
 namespace reuse::analysis {
@@ -426,21 +426,15 @@ bool read_fleet(net::BinaryReader& reader, CachedCore& core) {
   return reader.ok();
 }
 
-/// The latest-ending collection period's end, in seconds — the ingestion
-/// bound of the ecosystem stage and the resume point of an evolved run.
-std::int64_t span_end_seconds(const ScenarioConfig& config) {
-  std::int64_t end = 0;
-  for (const net::TimeWindow& period : config.ecosystem.periods) {
-    end = std::max(end, period.end.seconds());
-  }
-  return end;
-}
-
-/// The generation-window end the config resolves to (see
-/// ScenarioConfig::horizon_days).
-std::int64_t resolved_horizon_seconds(const ScenarioConfig& config) {
-  return std::max(span_end_seconds(config),
-                  static_cast<std::int64_t>(config.horizon_days) * 86400);
+/// Whether `extended` can resume from a cache of `base`: it adds days, and
+/// both resolve to the same abuse horizon. Actor episode placement depends
+/// on the generation window's END, so only then is the base's event stream
+/// a prefix of the extended one; otherwise resuming would diverge.
+bool resumable(const ScenarioConfig& base, const ScenarioConfig& extended) {
+  const ScenarioSpan before = scenario_span(base);
+  const ScenarioSpan after = scenario_span(extended);
+  return after.collection.end > before.collection.end &&
+         after.horizon == before.horizon;
 }
 
 }  // namespace
@@ -632,100 +626,34 @@ std::string default_cache_path(const ScenarioConfig& config) {
   return name;
 }
 
-CachedScenario run_scenario_cached(ScenarioConfig config,
-                                   const std::string& path) {
+Scenario run_scenario_cached(ScenarioConfig config, const std::string& path) {
   config.finalize();
   const std::string cache_path =
       path.empty() ? default_cache_path(config) : path;
-
   StageTimer stage_times;
-  auto cached = stage_times.time(
+  std::optional<CachedCore> cached = stage_times.time(
       "cache-load", [&] { return load_scenario_cache(cache_path, config); });
-  if (cached) {
-    // Recomputed stages share the scenario's threading policy.
-    std::unique_ptr<net::ThreadPool> pool = make_scenario_pool(config.jobs);
-    inet::World world = stage_times.time(
-        "world", [&] { return inet::World(config.world); });
-    auto catalogue = blocklist::build_catalogue(config.seed ^ 0xca7aULL);
-    // The fleet restores straight from the cache's v6 section when its
-    // fingerprint matches this config's fleet knobs (fleet is outside the
-    // cache fingerprint, so the section carries its own key). On a mismatch
-    // — or a carry-less file — it re-simulates with fresh atlas fault
-    // injection, exactly the payload-v5 behaviour.
-    sim::FaultInjector fleet_injector(config.faults);
-    const bool fleet_restored =
-        cached->has_fleet &&
-        cached->fleet.fingerprint == fleet_config_fingerprint(config.fleet);
-    atlas::AtlasFleet fleet = stage_times.time("fleet", [&] {
-      if (fleet_restored) {
-        return atlas::AtlasFleet::restore(
-            std::move(cached->fleet.log), std::move(cached->fleet.truths),
-            cached->fleet.records_suppressed, cached->fleet.allocations,
-            cached->fleet.gap_bridged_days);
-      }
-      sim::StageGuard guard(&fleet_injector, sim::FaultStage::kFleet);
-      return atlas::AtlasFleet(world, config.fleet, &fleet_injector,
-                               pool.get());
-    });
-    auto pipeline = stage_times.time("pipeline", [&] {
-      return dynadetect::run_pipeline(fleet.compressed_log(), config.pipeline,
-                                      pool.get());
-    });
-    auto census = stage_times.time("census", [&] {
-      return config.run_census
-                 ? census::run_census(world, config.census, {}, pool.get())
-                 : census::CensusResult{};
-    });
-    // The crawl and ecosystem were restored, not re-run, so their stage
-    // publishers never fired; publish from the cached products so the run
-    // manifest carries the numbers this run's products actually embody.
-    publish_crawl_metrics(cached->crawl);
-    blocklist::publish_feed_metrics(cached->ecosystem.stats);
-    sim::FaultStats injected = cached->injected;
-    if (!fleet_restored) {
-      // The fleet was re-simulated (the deterministic fleet makes the fresh
-      // suppression count equal the cached one when knobs are unchanged);
-      // overwriting keeps the ledger consistent even if a fleet knob changed.
-      injected.atlas_records_suppressed =
-          fleet_injector.stats().atlas_records_suppressed;
-    }
-    DegradationReport degradation = build_degradation_report(
-        injected, cached->crawl.stats,
-        cached->crawl.transport_fault_request_drops,
-        cached->crawl.transport_fault_response_drops, cached->ecosystem.stats,
-        fleet.records_suppressed(), pipeline);
-    CachedScenario result{std::move(config),
-                          std::move(world),
-                          std::move(catalogue),
-                          std::move(cached->ecosystem),
-                          std::move(cached->crawl),
-                          std::move(fleet),
-                          std::move(pipeline),
-                          std::move(census),
-                          std::move(degradation),
-                          /*cache_hit=*/true};
-    result.stage_times = std::move(stage_times);
-    return result;
-  }
+  return run_scenario_cached(std::move(config), cache_path, std::move(cached),
+                             std::move(stage_times));
+}
 
-  Scenario scenario = run_scenario(config);
-  save_scenario_cache(cache_path, scenario.config, scenario.crawl,
-                      scenario.ecosystem, scenario.injector->stats(),
-                      scenario.ecosystem_carry.get(), &scenario.fleet);
-  CachedScenario result{std::move(scenario.config),
-                        std::move(scenario.world),
-                        std::move(scenario.catalogue),
-                        std::move(scenario.ecosystem),
-                        std::move(scenario.crawl),
-                        std::move(scenario.fleet),
-                        std::move(scenario.pipeline),
-                        std::move(scenario.census),
-                        std::move(scenario.degradation),
-                        /*cache_hit=*/false};
-  result.stage_times = std::move(scenario.stage_times);
+Scenario run_scenario_cached(ScenarioConfig config, const std::string& path,
+                             std::optional<CachedCore> cached,
+                             StageTimer stage_times) {
+  config.finalize();
+  if (cached) {
+    return *run_stages(std::move(config), &*cached, std::nullopt,
+                       std::move(stage_times), nullptr);
+  }
+  blocklist::EcosystemCarry carry;
+  Scenario scenario =
+      *run_stages(std::move(config), nullptr, std::nullopt, {}, &carry);
+  save_scenario_cache(path.empty() ? default_cache_path(scenario.config) : path,
+                      scenario.config, scenario.crawl, scenario.ecosystem,
+                      scenario.degradation.injected, &carry, &scenario.fleet);
   // Fold in the (missed) cache probe so hit and miss timings are comparable.
-  result.stage_times.record("cache-load", stage_times.millis("cache-load"));
-  return result;
+  scenario.stage_times.record("cache-load", stage_times.millis("cache-load"));
+  return scenario;
 }
 
 ScenarioConfig extend_scenario_days(ScenarioConfig config, int extra_days) {
@@ -746,176 +674,44 @@ EvolvedScenario evolve_scenario_cached(ScenarioConfig base_config,
                                        const std::string& base_path,
                                        const std::string& extended_path) {
   base_config.finalize();
+  StageTimer stage_times;
+  std::optional<CachedCore> base;
+  if (resumable(base_config, extend_scenario_days(base_config, extra_days))) {
+    base = stage_times.time("cache-load", [&] {
+      return load_scenario_cache(
+          base_path.empty() ? default_cache_path(base_config) : base_path,
+          base_config);
+    });
+  }
+  return evolve_scenario_cached(std::move(base_config), extra_days,
+                                std::move(base), std::move(stage_times),
+                                extended_path);
+}
+
+EvolvedScenario evolve_scenario_cached(ScenarioConfig base_config,
+                                       int extra_days,
+                                       std::optional<CachedCore> base,
+                                       StageTimer stage_times,
+                                       const std::string& extended_path) {
+  base_config.finalize();
   ScenarioConfig extended = extend_scenario_days(base_config, extra_days);
   const std::string ext_path =
       extended_path.empty() ? default_cache_path(extended) : extended_path;
-  auto fresh = [&] {
-    return EvolvedScenario{run_scenario_cached(extended, ext_path),
-                           EvolvePath::kFreshRun};
-  };
-  if (extra_days <= 0) return fresh();
-  // Actor episode placement depends on the abuse-generation window's END,
-  // so base and extended streams only share a prefix when both runs resolve
-  // to the SAME horizon — i.e. base_config.horizon_days already covers the
-  // extension. Otherwise the base events are not a prefix of the extended
-  // stream and resuming would diverge; fall back to a full run.
-  if (resolved_horizon_seconds(base_config) !=
-      resolved_horizon_seconds(extended)) {
-    return fresh();
-  }
-
-  StageTimer stage_times;
-  const std::string resolved_base_path =
-      base_path.empty() ? default_cache_path(base_config) : base_path;
-  auto base = stage_times.time("cache-load", [&] {
-    return load_scenario_cache(resolved_base_path, base_config);
-  });
-  if (!base || !base->has_carry) return fresh();
-
-  std::unique_ptr<net::ThreadPool> pool = make_scenario_pool(extended.jobs);
-  sim::FaultInjector injector(extended.faults);
-  inet::World world = stage_times.time(
-      "world", [&] { return inet::World(extended.world); });
-  auto catalogue = blocklist::build_catalogue(extended.seed ^ 0xca7aULL);
-
-  // Ecosystem tail: restore the per-feed cursors and stream ONLY the
-  // [base span end, extended span end) slice of the same abuse stream.
-  // finish() then yields a store of new-era recordings and stats whose
-  // per-feed counters continue the base run's.
-  blocklist::EcosystemCarry new_carry;
-  blocklist::EcosystemResult tail;
-  bool resumed = false;
-  stage_times.time("ecosystem", [&] {
-    sim::StageGuard guard(&injector, sim::FaultStage::kEcosystem);
-    blocklist::EcosystemSimulator simulator(catalogue, extended.ecosystem,
-                                            &injector, pool.get());
-    if (!simulator.resume_from(base->carry, base->ecosystem.stats,
-                               base->ecosystem.stats.snapshots_taken)) {
-      return false;
+  if (base && base->has_carry && resumable(base_config, extended)) {
+    blocklist::EcosystemCarry carry;
+    std::optional<Scenario> resumed =
+        run_stages(extended, &*base,
+                   scenario_span(base_config).collection.end.seconds(),
+                   std::move(stage_times), &carry);
+    if (resumed) {
+      save_scenario_cache(ext_path, resumed->config, resumed->crawl,
+                          resumed->ecosystem, resumed->degradation.injected,
+                          &carry, &resumed->fleet);
+      return EvolvedScenario{std::move(*resumed), EvolvePath::kResumed};
     }
-    const inet::AbuseGenConfig abuse = scenario_abuse_config(world, extended);
-    inet::stream_abuse_range(world, abuse, /*chunk_days=*/32,
-                             span_end_seconds(base_config),
-                             span_end_seconds(extended),
-                             [&](std::span<const inet::AbuseEvent> chunk) {
-                               simulator.ingest(chunk);
-                             });
-    tail = simulator.finish(&new_carry);
-    resumed = true;
-    return true;
-  });
-  if (!resumed) return fresh();
-
-  // Fold the tail recordings into the base store. The stores' pending/run
-  // machinery coalesces runs that touch across the era boundary, and every
-  // consumer iterates the store canonically, so the fold is byte-equivalent
-  // to having recorded the whole run in one piece. events_seen is the one
-  // stats counter the tail run cannot continue (it counts ingested events,
-  // and the tail only ingested the extension), so it is summed here.
-  const net::PrefixSet base_slash24s =
-      base->ecosystem.store.blocklisted_slash24s();
-  blocklist::EcosystemResult ecosystem;
-  ecosystem.store = std::move(base->ecosystem.store);
-  ecosystem.stats = tail.stats;
-  ecosystem.stats.events_seen += base->ecosystem.stats.events_seen;
-  tail.store.for_each_listing([&](blocklist::ListId list,
-                                  net::Ipv4Address address,
-                                  const net::IntervalSet& days) {
-    for (const auto& interval : days.intervals()) {
-      ecosystem.store.record_span(list, address, interval.begin, interval.end);
-    }
-  });
-  tail.store.for_each_observed(
-      [&](blocklist::ListId list, const net::IntervalSet& days) {
-        for (const auto& interval : days.intervals()) {
-          ecosystem.store.mark_observed_span(list, interval.begin,
-                                             interval.end);
-        }
-      });
-
-  // The crawl's only ecosystem input is the blocklisted /24 set (the
-  // crawler restriction). When the extension did not change it — or the
-  // restriction is off — the cached crawl is still exactly what a fresh
-  // extended run would produce; otherwise re-run the crawl stage.
-  bool crawl_reused = true;
-  if (extended.restrict_crawler_to_blocklisted) {
-    std::vector<net::Ipv4Prefix> before = base_slash24s.to_vector();
-    std::vector<net::Ipv4Prefix> after =
-        ecosystem.store.blocklisted_slash24s().to_vector();
-    std::sort(before.begin(), before.end());
-    std::sort(after.begin(), after.end());
-    crawl_reused = before == after;
   }
-  CrawlOutput crawl;
-  if (crawl_reused) {
-    crawl = std::move(base->crawl);
-    publish_crawl_metrics(crawl);
-  } else {
-    crawl = stage_times.time("crawl", [&] {
-      sim::StageGuard guard(&injector, sim::FaultStage::kCrawl);
-      return run_scenario_crawl(world, ecosystem.store, extended, &injector,
-                                pool.get(), &stage_times);
-    });
-  }
-
-  const bool fleet_restored =
-      base->has_fleet &&
-      base->fleet.fingerprint == fleet_config_fingerprint(extended.fleet);
-  atlas::AtlasFleet fleet = stage_times.time("fleet", [&] {
-    if (fleet_restored) {
-      return atlas::AtlasFleet::restore(
-          std::move(base->fleet.log), std::move(base->fleet.truths),
-          base->fleet.records_suppressed, base->fleet.allocations,
-          base->fleet.gap_bridged_days);
-    }
-    sim::StageGuard guard(&injector, sim::FaultStage::kFleet);
-    return atlas::AtlasFleet(world, extended.fleet, &injector, pool.get());
-  });
-  auto pipeline = stage_times.time("pipeline", [&] {
-    return dynadetect::run_pipeline(fleet.compressed_log(), extended.pipeline,
-                                    pool.get());
-  });
-  auto census = stage_times.time("census", [&] {
-    return extended.run_census
-               ? census::run_census(world, extended.census, {}, pool.get())
-               : census::CensusResult{};
-  });
-
-  // Compose the fault ledger a fresh extended run would have produced:
-  // this run's injector saw the ecosystem tail (plus the crawl/fleet if
-  // re-run); the base ledger contributes the stages that were reused. A
-  // re-simulated crawl or fleet replays its FULL fault window fresh, so
-  // the base share is added only for reused stages.
-  sim::FaultStats injected = injector.stats();
-  injected.feed_snapshots_suppressed += base->injected.feed_snapshots_suppressed;
-  injected.feeds_corrupted += base->injected.feeds_corrupted;
-  if (crawl_reused) {
-    injected.burst_request_drops += base->injected.burst_request_drops;
-    injected.burst_response_drops += base->injected.burst_response_drops;
-    injected.bootstrap_blackholes += base->injected.bootstrap_blackholes;
-  }
-  if (fleet_restored) {
-    injected.atlas_records_suppressed += base->injected.atlas_records_suppressed;
-  }
-  DegradationReport degradation = build_degradation_report(
-      injected, crawl.stats, crawl.transport_fault_request_drops,
-      crawl.transport_fault_response_drops, ecosystem.stats,
-      fleet.records_suppressed(), pipeline);
-
-  save_scenario_cache(ext_path, extended, crawl, ecosystem, injected,
-                      &new_carry, &fleet);
-  CachedScenario result{std::move(extended),
-                        std::move(world),
-                        std::move(catalogue),
-                        std::move(ecosystem),
-                        std::move(crawl),
-                        std::move(fleet),
-                        std::move(pipeline),
-                        std::move(census),
-                        std::move(degradation),
-                        /*cache_hit=*/true};
-  result.stage_times = std::move(stage_times);
-  return EvolvedScenario{std::move(result), EvolvePath::kResumed};
+  return EvolvedScenario{run_scenario_cached(std::move(extended), ext_path),
+                         EvolvePath::kFreshRun};
 }
 
 }  // namespace reuse::analysis

@@ -2,17 +2,19 @@
 //
 // The bench suite is one binary per table/figure; without a cache each
 // binary would redo the same multi-minute simulation. The cache stores the
-// two costly products — the crawl output and the blocklist presence store —
-// keyed by an FNV-1a fingerprint of the full scenario configuration;
-// everything else (world, fleet, pipeline, catalogue) is deterministic and
-// cheap to rebuild.
+// costly products — the crawl output, the blocklist presence store, the
+// feed cursors a resume continues from, and the fleet products (keyed by
+// their own fleet_config_fingerprint) — keyed by an FNV-1a fingerprint of
+// the full scenario configuration; world, catalogue, pipeline and census
+// are rebuilt on every load.
 //
 // File format (little-endian; see DESIGN.md "Scenario cache format"):
 //   magic, format version, calibration version, config fingerprint,
 //   seed, as_count, payload size, payload FNV-1a checksum, payload.
-// The payload holds the crawl output and the presence store, both written
-// in sorted order so the same configuration always produces byte-identical
-// files. Writers publish atomically: the file is assembled under
+// The payload holds the crawl output, the presence store, the fault
+// ledger, the feed carry and the fleet section, all written in sorted order
+// so the same configuration always produces byte-identical files. Writers
+// publish atomically: the file is assembled under
 // `<path>.tmp.<pid>` and rename()d into place, so concurrent readers see
 // either the previous complete cache or the new one, never a partial write.
 // Concurrent writers race benignly — every candidate is complete and
@@ -45,9 +47,8 @@ struct CachedFleet {
 struct CachedCore {
   CrawlOutput crawl;
   blocklist::EcosystemResult ecosystem;
-  /// Injector-side fault ledger of the run that produced the cache. The
-  /// atlas counter is refreshed from the (recomputed) fleet on load when
-  /// the fleet section cannot be restored.
+  /// Injector-side fault ledger of the run that produced the cache. A run
+  /// built on this cache adds the share of each stage it takes from it.
   sim::FaultStats injected;
   /// End-of-run feed cursors (payload v6): present on every cache written
   /// by a full run, and what evolve_scenario_cached() resumes from.
@@ -84,27 +85,8 @@ bool save_scenario_cache(const std::string& path, const ScenarioConfig& config,
 [[nodiscard]] std::optional<CachedCore> load_scenario_cache(
     const std::string& path, const ScenarioConfig& config);
 
-/// A Scenario-equivalent built around the cache: world/catalogue/fleet/
-/// pipeline are recomputed (fast, deterministic); crawl and ecosystem come
-/// from the cache when possible, else are simulated and then cached. The
-/// census is recomputed only when `config.run_census` is set.
-struct CachedScenario {
-  ScenarioConfig config;
-  inet::World world;
-  std::vector<blocklist::BlocklistInfo> catalogue;
-  blocklist::EcosystemResult ecosystem;
-  CrawlOutput crawl;
-  atlas::AtlasFleet fleet;
-  dynadetect::PipelineResult pipeline;
-  census::CensusResult census;
-  DegradationReport degradation;
-  bool cache_hit = false;
-  /// Wall-clock per stage of this load-or-run (cache hits report
-  /// "cache-load" plus the recomputed stages; misses report the full run).
-  /// Appended after `cache_hit` so the positional aggregate initializers
-  /// stay valid; assigned after construction.
-  StageTimer stage_times;
-};
+/// The name the cache's callers have always used for its result type.
+using CachedScenario = Scenario;
 
 /// Standard cache location for the bench binaries:
 /// `reuse_scenario_<seed>_<fingerprint>.cache`, placed in $REUSE_CACHE_DIR
@@ -113,8 +95,21 @@ struct CachedScenario {
 /// different knobs never share or evict each other's cache.
 [[nodiscard]] std::string default_cache_path(const ScenarioConfig& config);
 
-[[nodiscard]] CachedScenario run_scenario_cached(ScenarioConfig config,
-                                                 const std::string& path = {});
+/// Loads `config`'s cache (at `path` or its default location) and runs the
+/// stages around it: world, catalogue, pipeline and census are rebuilt;
+/// crawl and ecosystem come from the file; the fleet is restored when the
+/// file's fleet section matches `config.fleet`, else re-run. Without a
+/// usable file, simulates afresh and writes the cache.
+[[nodiscard]] Scenario run_scenario_cached(ScenarioConfig config,
+                                           const std::string& path = {});
+
+/// run_scenario_cached with `path` already probed: `cached` is its decoded
+/// content (nullopt: absent or rejected) and `stage_times` holds the probe's
+/// "cache-load" time. For callers that looked inside the file anyway, so
+/// each run decodes it once.
+[[nodiscard]] Scenario run_scenario_cached(
+    ScenarioConfig config, const std::string& path,
+    std::optional<CachedCore> cached, StageTimer stage_times);
 
 /// `config` with the last collection period extended by `extra_days` whole
 /// days — the shape of scenario evolve_scenario_cached() produces. The
@@ -131,7 +126,7 @@ enum class EvolvePath {
 };
 
 struct EvolvedScenario {
-  CachedScenario scenario;
+  Scenario scenario;
   EvolvePath path = EvolvePath::kFreshRun;
 };
 
@@ -151,6 +146,13 @@ struct EvolvedScenario {
 [[nodiscard]] EvolvedScenario evolve_scenario_cached(
     ScenarioConfig base_config, int extra_days,
     const std::string& base_path = {}, const std::string& extended_path = {});
+
+/// evolve_scenario_cached with the base cache already decoded into `base`
+/// (nullopt: none usable), its "cache-load" time in `stage_times`.
+[[nodiscard]] EvolvedScenario evolve_scenario_cached(
+    ScenarioConfig base_config, int extra_days,
+    std::optional<CachedCore> base, StageTimer stage_times,
+    const std::string& extended_path = {});
 
 /// Registry handles for the cache_ metric family, registered on first use.
 /// Shared by the loader/saver and the run-manifest writer, so a run that

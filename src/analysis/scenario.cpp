@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "analysis/stage_runner.h"
 #include "blocklist/catalogue.h"
 #include "crawler/sharded.h"
 #include "internet/abuse.h"
@@ -12,48 +13,6 @@
 #include "simnet/event_queue.h"
 
 namespace reuse::analysis {
-namespace {
-
-net::TimeWindow overall_window(const std::vector<net::TimeWindow>& periods) {
-  net::TimeWindow window = periods.front();
-  for (const net::TimeWindow& period : periods) {
-    window.begin = std::min(window.begin, period.begin);
-    window.end = std::max(window.end, period.end);
-  }
-  return window;
-}
-
-ScenarioConfig finalized(ScenarioConfig config) {
-  config.finalize();
-  return config;
-}
-
-blocklist::EcosystemResult build_ecosystem(
-    const inet::World& world, const std::vector<blocklist::BlocklistInfo>& catalogue,
-    const ScenarioConfig& config, sim::FaultInjector* faults,
-    net::ThreadPool* pool, blocklist::EcosystemCarry* carry) {
-  const net::TimeWindow span = overall_window(config.ecosystem.periods);
-  const inet::AbuseGenConfig abuse = scenario_abuse_config(world, config);
-  // Stream the abuse events through the feeds in month-sized slices instead
-  // of materializing the whole span: the event stream grows linearly with
-  // the simulated days and would otherwise dominate peak RSS at world
-  // scale, while one slice is bounded by the busiest month forever. The
-  // products are byte-identical to the materialized path (see stream_abuse).
-  // Ingestion keeps [window.begin, span.end): with an auto horizon that is
-  // the whole generation window (same bytes as streaming it all); with an
-  // explicit later horizon the events past the periods' span are exactly
-  // the ones a later evolve_scenario_cached() call will ingest.
-  blocklist::EcosystemSimulator simulator(catalogue, config.ecosystem, faults,
-                                          pool);
-  inet::stream_abuse_range(world, abuse, /*chunk_days=*/32,
-                           abuse.window.begin.seconds(), span.end.seconds(),
-                           [&](std::span<const inet::AbuseEvent> chunk) {
-                             simulator.ingest(chunk);
-                           });
-  return simulator.finish(carry);
-}
-
-}  // namespace
 
 CrawlOutput run_scenario_crawl(const inet::World& world,
                                const blocklist::SnapshotStore& store,
@@ -235,24 +194,31 @@ void write_fingerprint_fields(net::BinaryWriter& w,
   // window's end): horizon_days = 0 and an explicit horizon equal to the
   // span end produce the same generation window, the same products, and —
   // by hashing the resolution — the same fingerprint.
-  const net::TimeWindow span = overall_window(c.ecosystem.periods);
-  w.write(std::max(span.end.seconds(),
-                   static_cast<std::int64_t>(c.horizon_days) * 86400));
+  w.write(scenario_span(c).horizon.seconds());
 }
 
 }  // namespace
+
+ScenarioSpan scenario_span(const ScenarioConfig& config) {
+  net::TimeWindow collection = config.ecosystem.periods.front();
+  for (const net::TimeWindow& period : config.ecosystem.periods) {
+    collection.begin = std::min(collection.begin, period.begin);
+    collection.end = std::max(collection.end, period.end);
+  }
+  return {collection,
+          net::SimTime(std::max(collection.end.seconds(),
+                                std::int64_t{config.horizon_days} * 86400))};
+}
 
 inet::AbuseGenConfig scenario_abuse_config(const inet::World& world,
                                            const ScenarioConfig& config) {
   // Abuse generation starts before the first snapshot so lists are warm,
   // and runs to the declared horizon (auto: the last period's end) so a
   // later horizon only appends events without moving any actor's draws.
-  const net::TimeWindow span = overall_window(config.ecosystem.periods);
-  const net::SimTime horizon(
-      std::max(span.end.seconds(),
-               static_cast<std::int64_t>(config.horizon_days) * 86400));
+  const ScenarioSpan span = scenario_span(config);
   inet::AbuseGenConfig abuse;
-  abuse.window = net::TimeWindow{span.begin - net::Duration::days(15), horizon};
+  abuse.window = net::TimeWindow{
+      span.collection.begin - net::Duration::days(15), span.horizon};
   abuse.user_events_per_day = world.config().abuse_events_per_day_user;
   abuse.server_events_per_day = world.config().abuse_events_per_day_server;
   abuse.seed = config.seed ^ 0xab5eULL;
@@ -443,61 +409,148 @@ std::unique_ptr<net::ThreadPool> make_scenario_pool(int jobs) {
   return std::make_unique<net::ThreadPool>(resolved);
 }
 
-Scenario::Scenario(ScenarioConfig cfg)
-    : config(finalized(std::move(cfg))),
-      injector(std::make_unique<sim::FaultInjector>(config.faults)),
-      pool(make_scenario_pool(config.jobs)),
-      world(stage_times.time("world",
-                            [&] { return inet::World(config.world); })),
-      catalogue(blocklist::build_catalogue(config.seed ^ 0xca7aULL)),
-      ecosystem_carry(std::make_unique<blocklist::EcosystemCarry>()),
-      ecosystem(stage_times.time("ecosystem",
-                                 [&] {
-                                   sim::StageGuard guard(
-                                       injector.get(),
-                                       sim::FaultStage::kEcosystem);
-                                   return build_ecosystem(world, catalogue,
-                                                          config,
-                                                          injector.get(),
-                                                          pool.get(),
-                                                          ecosystem_carry.get());
-                                 })),
-      crawl(stage_times.time("crawl",
-                             [&] {
-                               sim::StageGuard guard(injector.get(),
-                                                     sim::FaultStage::kCrawl);
-                               return run_scenario_crawl(
-                                   world, ecosystem.store, config,
-                                   injector.get(), pool.get(), &stage_times);
-                             })),
-      fleet(stage_times.time("fleet",
-                             [&] {
-                               sim::StageGuard guard(injector.get(),
-                                                     sim::FaultStage::kFleet);
-                               return atlas::AtlasFleet(world, config.fleet,
-                                                        injector.get(),
-                                                        pool.get());
-                             })),
-      pipeline(stage_times.time("pipeline",
-                                [&] {
-                                  return dynadetect::run_pipeline(
-                                      fleet.compressed_log(), config.pipeline,
-                                      pool.get());
-                                })),
-      census(stage_times.time("census",
-                              [&] {
-                                return config.run_census
-                                           ? census::run_census(world,
-                                                                config.census,
-                                                                {}, pool.get())
-                                           : census::CensusResult{};
-                              })) {
-  degradation = build_degradation_report(
-      injector->stats(), crawl.stats, crawl.transport_fault_request_drops,
+std::optional<Scenario> run_stages(ScenarioConfig config, CachedCore* base,
+                                   std::optional<std::int64_t> resume_from,
+                                   StageTimer stage_times,
+                                   blocklist::EcosystemCarry* carry) {
+  config.finalize();
+  const ScenarioSpan span = scenario_span(config);
+  const bool resume = base != nullptr && resume_from.has_value();
+  sim::FaultInjector injector(config.faults);
+  const std::unique_ptr<net::ThreadPool> pool = make_scenario_pool(config.jobs);
+  inet::World world =
+      stage_times.time("world", [&] { return inet::World(config.world); });
+  std::vector<blocklist::BlocklistInfo> catalogue =
+      blocklist::build_catalogue(config.seed ^ 0xca7aULL);
+
+  // Ecosystem. The abuse events stream through the feeds in month-sized
+  // slices instead of being materialized: one slice is bounded by the
+  // busiest month, while the whole stream grows with the simulated days and
+  // would dominate peak RSS at world scale. Ingestion stops at the span
+  // end, so a later horizon's events are left for a resume to ingest.
+  blocklist::EcosystemResult ecosystem;
+  if (base != nullptr && !resume) {
+    ecosystem = std::move(base->ecosystem);
+    blocklist::publish_feed_metrics(ecosystem.stats);
+  } else {
+    const bool ran = stage_times.time("ecosystem", [&] {
+      sim::StageGuard guard(&injector, sim::FaultStage::kEcosystem);
+      blocklist::EcosystemSimulator simulator(catalogue, config.ecosystem,
+                                              &injector, pool.get());
+      if (resume && !simulator.resume_from(
+                        base->carry, base->ecosystem.stats,
+                        base->ecosystem.stats.snapshots_taken)) {
+        return false;
+      }
+      const inet::AbuseGenConfig abuse = scenario_abuse_config(world, config);
+      inet::stream_abuse_range(
+          world, abuse, /*chunk_days=*/32,
+          resume ? *resume_from : abuse.window.begin.seconds(),
+          span.collection.end.seconds(),
+          [&](std::span<const inet::AbuseEvent> chunk) {
+            simulator.ingest(chunk);
+          });
+      ecosystem = simulator.finish(carry);
+      return true;
+    });
+    if (!ran) return std::nullopt;
+  }
+
+  // A resume folds its new-era recordings into the base store; the runs
+  // coalesce across the seam, so the store equals a one-piece recording.
+  // The tail's per-feed counters already continue the base's; only
+  // events_seen counts the tail's own events and is summed here.
+  std::optional<net::PrefixSet> base_slash24s;
+  if (resume) {
+    if (config.restrict_crawler_to_blocklisted) {
+      base_slash24s = base->ecosystem.store.blocklisted_slash24s();
+    }
+    blocklist::EcosystemResult tail = std::move(ecosystem);
+    ecosystem.store = std::move(base->ecosystem.store);
+    ecosystem.store.merge_from(tail.store);
+    ecosystem.stats = std::move(tail.stats);
+    ecosystem.stats.events_seen += base->ecosystem.stats.events_seen;
+  }
+
+  // Crawl. Its only ecosystem input is the blocklisted /24 set the crawler
+  // restriction reads, so the base crawl stays valid unless that set moved.
+  const auto sorted_prefixes = [](const net::PrefixSet& set) {
+    std::vector<net::Ipv4Prefix> prefixes = set.to_vector();
+    std::sort(prefixes.begin(), prefixes.end());
+    return prefixes;
+  };
+  const bool crawl_reused =
+      base != nullptr &&
+      (!base_slash24s ||
+       sorted_prefixes(*base_slash24s) ==
+           sorted_prefixes(ecosystem.store.blocklisted_slash24s()));
+  CrawlOutput crawl;
+  if (crawl_reused) {
+    crawl = std::move(base->crawl);
+    publish_crawl_metrics(crawl);
+  } else {
+    crawl = stage_times.time("crawl", [&] {
+      sim::StageGuard guard(&injector, sim::FaultStage::kCrawl);
+      return run_scenario_crawl(world, ecosystem.store, config, &injector,
+                                pool.get(), &stage_times);
+    });
+  }
+
+  const bool fleet_restored =
+      base != nullptr && base->has_fleet &&
+      base->fleet.fingerprint == fleet_config_fingerprint(config.fleet);
+  atlas::AtlasFleet fleet = stage_times.time("fleet", [&] {
+    if (fleet_restored) {
+      return atlas::AtlasFleet::restore(
+          std::move(base->fleet.log), std::move(base->fleet.truths),
+          base->fleet.records_suppressed, base->fleet.allocations,
+          base->fleet.gap_bridged_days);
+    }
+    sim::StageGuard guard(&injector, sim::FaultStage::kFleet);
+    return atlas::AtlasFleet(world, config.fleet, &injector, pool.get());
+  });
+  dynadetect::PipelineResult pipeline = stage_times.time("pipeline", [&] {
+    return dynadetect::run_pipeline(fleet.compressed_log(), config.pipeline,
+                                    pool.get());
+  });
+  census::CensusResult census = stage_times.time("census", [&] {
+    return config.run_census
+               ? census::run_census(world, config.census, {}, pool.get())
+               : census::CensusResult{};
+  });
+
+  // The fault ledger: what this run injected, plus the base run's share of
+  // every stage taken from the base (a stage that re-ran replayed its whole
+  // fault window here).
+  sim::FaultStats injected = injector.stats();
+  if (base != nullptr) {
+    injected.feed_snapshots_suppressed +=
+        base->injected.feed_snapshots_suppressed;
+    injected.feeds_corrupted += base->injected.feeds_corrupted;
+  }
+  if (crawl_reused) {
+    injected.burst_request_drops += base->injected.burst_request_drops;
+    injected.burst_response_drops += base->injected.burst_response_drops;
+    injected.bootstrap_blackholes += base->injected.bootstrap_blackholes;
+  }
+  if (fleet_restored) {
+    injected.atlas_records_suppressed +=
+        base->injected.atlas_records_suppressed;
+  }
+  DegradationReport degradation = build_degradation_report(
+      injected, crawl.stats, crawl.transport_fault_request_drops,
       crawl.transport_fault_response_drops, ecosystem.stats,
       fleet.records_suppressed(), pipeline);
-  // The products are plain values now; the workers have nothing left to do.
-  pool.reset();
+  return Scenario{std::move(config),      std::move(world),
+                  std::move(catalogue),   std::move(ecosystem),
+                  std::move(crawl),       std::move(fleet),
+                  std::move(pipeline),    std::move(census),
+                  std::move(degradation), /*cache_hit=*/base != nullptr,
+                  std::move(stage_times)};
+}
+
+Scenario run_scenario(ScenarioConfig config) {
+  return *run_stages(std::move(config), nullptr, std::nullopt, {}, nullptr);
 }
 
 std::uint64_t products_fingerprint(const CrawlOutput& crawl,

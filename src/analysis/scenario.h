@@ -86,8 +86,8 @@ struct ScenarioConfig {
 };
 
 /// The thread pool a scenario with `jobs` uses: nullptr for serial (jobs
-/// <= 1 after resolving 0 to the hardware thread count). Exposed so cache
-/// replays and CLI joins can share the scenario's threading policy.
+/// <= 1 after resolving 0 to the hardware thread count). Exposed so CLI
+/// joins can share the scenario's threading policy.
 [[nodiscard]] std::unique_ptr<net::ThreadPool> make_scenario_pool(int jobs);
 
 /// Small preset for tests; big preset for bench binaries.
@@ -114,18 +114,28 @@ struct ScenarioConfig {
 /// scenario products (crawl + blocklist ecosystem): seed, the full world
 /// generator config, crawl length, DHT, crawler, the crawler-restriction
 /// flag, and the ecosystem knobs — serialized field-by-field through
-/// `netbase/serialize.h` and hashed. Fields the cache loader replays fresh
-/// on every load (`fleet`, `pipeline`, `census`, `run_census`) are
-/// deliberately excluded so e.g. census and census-less benches keep
-/// sharing one cache file. The config is finalized internally, so callers
-/// may pass it before or after `finalize()`.
+/// `netbase/serialize.h` and hashed. `pipeline`, `census` and `run_census`
+/// (re-run on every load) and `fleet` (its cache section carries its own
+/// fleet_config_fingerprint) are deliberately excluded so e.g. census and
+/// census-less benches keep sharing one cache file. The config is
+/// finalized internally, so callers may pass it before or after
+/// `finalize()`.
 [[nodiscard]] std::uint64_t config_fingerprint(const ScenarioConfig& config);
+
+/// The collection span of a finalized `config` (earliest period begin to
+/// latest period end) and the abuse-generation horizon it resolves to:
+/// `horizon_days`, or the span end when that is later (0 = auto).
+struct ScenarioSpan {
+  net::TimeWindow collection;
+  net::SimTime horizon;
+};
+[[nodiscard]] ScenarioSpan scenario_span(const ScenarioConfig& config);
 
 /// The abuse-generation config a scenario derives from `config`: the
 /// 15-day warm-up lead, the per-actor rates from the world config, the
 /// abuse sub-seed, and the generation window resolved against
-/// `horizon_days`. Exposed for the incremental cache, which re-streams the
-/// tail of exactly this stream when it evolves a cached scenario.
+/// `horizon_days`. A resumed run re-streams the tail of exactly this
+/// stream.
 [[nodiscard]] inet::AbuseGenConfig scenario_abuse_config(
     const inet::World& world, const ScenarioConfig& config);
 
@@ -152,55 +162,38 @@ struct CrawlOutput {
 void publish_crawl_metrics(const CrawlOutput& crawl);
 
 /// Runs the scenario's sharded crawl stage against `store` (the blocklist
-/// presence the crawler restriction reads). Exposed for the incremental
-/// cache, which must re-run exactly this stage when an evolved scenario's
-/// blocklisted /24 set diverges from the cached one. Folds the shard fault
-/// ledgers into `faults` and records the crawl.* sub-stage timings into
+/// presence the crawler restriction reads). Folds the shard fault ledgers
+/// into `faults` and records the crawl.* sub-stage timings into
 /// `stage_times` (both optional).
 [[nodiscard]] CrawlOutput run_scenario_crawl(
     const inet::World& world, const blocklist::SnapshotStore& store,
     const ScenarioConfig& config, sim::FaultInjector* faults,
     net::ThreadPool* pool, StageTimer* stage_times);
 
+/// A scenario's products as plain values (no live references to the
+/// simulation machinery). One aggregate whether the stages ran fresh, came
+/// from a cache hit or resumed a cached run.
 struct Scenario {
   ScenarioConfig config;
-  /// Wall-clock per stage; filled as the constructor runs the stages.
-  /// Declared before the subsystems so the timing wrappers in the
-  /// member-init list may record into it.
-  StageTimer stage_times;
-  /// One injector shared by every subsystem so its ledger spans the whole
-  /// run. Heap-allocated: subsystems keep raw pointers to it, which must
-  /// stay valid when the Scenario is moved. Declared before the subsystems
-  /// it feeds (member-init order).
-  std::unique_ptr<sim::FaultInjector> injector;
-  /// Worker pool for the parallel stages (nullptr = serial). Released at
-  /// the end of construction — the products keep no reference to it.
-  std::unique_ptr<net::ThreadPool> pool;
   inet::World world;
   std::vector<blocklist::BlocklistInfo> catalogue;
-  /// End-of-run feed cursors captured by the ecosystem stage; the scenario
-  /// cache saves them (payload v6) so a later run can evolve this scenario
-  /// forward instead of replaying it from day 0. Declared before
-  /// `ecosystem` so the stage can fill it during member init.
-  std::unique_ptr<blocklist::EcosystemCarry> ecosystem_carry;
   blocklist::EcosystemResult ecosystem;
   CrawlOutput crawl;
   atlas::AtlasFleet fleet;
   dynadetect::PipelineResult pipeline;
   census::CensusResult census;
+  /// Consumer ledgers beside the run's composed injector ledger
+  /// (`degradation.injected`).
   DegradationReport degradation;
-
-  Scenario(const Scenario&) = delete;
-  Scenario& operator=(const Scenario&) = delete;
-  Scenario(Scenario&&) = default;
-
-  explicit Scenario(ScenarioConfig cfg);
+  /// True when stages were taken from a cache file (hit or resume).
+  bool cache_hit = false;
+  /// Wall-clock per stage that ran, plus "cache-load" when a cache file
+  /// was consulted.
+  StageTimer stage_times;
 };
 
-/// Convenience: build and run everything.
-[[nodiscard]] inline Scenario run_scenario(ScenarioConfig config) {
-  return Scenario(std::move(config));
-}
+/// Builds and runs everything, fresh and without touching the disk.
+[[nodiscard]] Scenario run_scenario(ScenarioConfig config);
 
 /// FNV-1a fingerprint of every scenario *product* (ecosystem store and
 /// stats, crawl outputs, fleet log and truths, pipeline funnel and prefix

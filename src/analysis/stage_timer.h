@@ -38,7 +38,7 @@ struct StageTiming {
 class StageTimer {
  public:
   StageTimer() = default;
-  /// Movable so Scenario/CachedScenario stay movable. The mutex is not
+  /// Movable so Scenario stays movable. The mutex is not
   /// moved (each timer owns a fresh one); moving while another thread
   /// records into the source is a caller bug, as with any container.
   StageTimer(StageTimer&& other) noexcept : timings_(other.take()) {}

@@ -333,17 +333,7 @@ EcosystemResult EcosystemSimulator::finish(EcosystemCarry* carry) {
         static_cast<std::uint64_t>(out.health.days_salvaged);
     result.stats.entries_discarded += out.health.entries_discarded;
     result.stats.feed_lines_skipped += out.health.lines_skipped;
-    out.store.for_each_listing([&](ListId list, net::Ipv4Address address,
-                                   const net::IntervalSet& intervals) {
-      for (const net::IntervalSet::Interval& span : intervals.intervals()) {
-        result.store.record_span(list, address, span.begin, span.end);
-      }
-    });
-    out.store.for_each_observed([&](ListId list, const net::IntervalSet& days) {
-      for (const net::IntervalSet::Interval& span : days.intervals()) {
-        result.store.mark_observed_span(list, span.begin, span.end);
-      }
-    });
+    result.store.merge_from(out.store);
     out.store = SnapshotStore{};  // free the fragment as we go
   }
   result.stats.events_seen = im.events_seen;

@@ -213,6 +213,20 @@ void SnapshotStore::mark_observed_span(ListId list, std::int64_t begin,
   observed_[list].insert(begin, end);
 }
 
+void SnapshotStore::merge_from(const SnapshotStore& other) {
+  other.for_each_listing([&](ListId list, net::Ipv4Address address,
+                             const net::IntervalSet& intervals) {
+    for (const net::IntervalSet::Interval& span : intervals.intervals()) {
+      record_span(list, address, span.begin, span.end);
+    }
+  });
+  other.for_each_observed([&](ListId list, const net::IntervalSet& days) {
+    for (const net::IntervalSet::Interval& span : days.intervals()) {
+      mark_observed_span(list, span.begin, span.end);
+    }
+  });
+}
+
 const net::IntervalSet* SnapshotStore::observed_days(ListId list) const {
   const auto it = observed_.find(list);
   return it == observed_.end() ? nullptr : &it->second;

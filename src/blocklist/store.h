@@ -66,6 +66,13 @@ class SnapshotStore {
   void mark_observed(ListId list, std::int64_t day);
   void mark_observed_span(ListId list, std::int64_t begin, std::int64_t end);
 
+  /// Records every listing and observed-day span of `other` into this
+  /// store: the fold of a per-feed fragment into the merged store, and of a
+  /// resumed run's new-era recordings into the base store. The runs
+  /// coalesce across the seam, so the result equals having recorded both
+  /// in one store.
+  void merge_from(const SnapshotStore& other);
+
   /// Days on which `list` was snapshotted, or nullptr if never marked.
   [[nodiscard]] const net::IntervalSet* observed_days(ListId list) const;
 

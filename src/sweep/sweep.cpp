@@ -165,12 +165,18 @@ void run_cell(const SweepConfig& sweep, const SweepCell& cell,
   const std::string path = cell_cache_path(sweep.cache_dir, cell.config);
   analysis::EvolvePath evolve_path = analysis::EvolvePath::kFreshRun;
   bool evolved_run = false;
-  const analysis::CachedScenario s = [&] {
+  const analysis::Scenario s = [&] {
     if (prev != nullptr) {
-      // Later cell of a chain: a warm sweep finds the cell's own cache;
-      // a cold one resumes the chain's previous cell forward.
-      if (analysis::load_scenario_cache(path, cell.config)) {
-        return analysis::run_scenario_cached(cell.config, path);
+      // Later cell of a chain: a warm sweep finds the cell's own cache
+      // (decoded once, here); a cold one resumes the chain's previous cell
+      // forward.
+      analysis::StageTimer stage_times;
+      std::optional<analysis::CachedCore> own = stage_times.time(
+          "cache-load",
+          [&] { return analysis::load_scenario_cache(path, cell.config); });
+      if (own) {
+        return analysis::run_scenario_cached(cell.config, path, std::move(own),
+                                             std::move(stage_times));
       }
       const std::string prev_path =
           cell_cache_path(sweep.cache_dir, prev->config);

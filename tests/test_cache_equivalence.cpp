@@ -41,8 +41,7 @@ struct Fig4 {
   friend bool operator==(const Fig4&, const Fig4&) = default;
 };
 
-template <typename ScenarioLike>
-Fig4 fig4_of(const ScenarioLike& s) {
+Fig4 fig4_of(const analysis::Scenario& s) {
   Fig4 out;
   out.bt_ips = s.crawl.evidence.size();
   out.nated_ips = s.crawl.nated.size();
@@ -62,8 +61,7 @@ Fig4 fig4_of(const ScenarioLike& s) {
 }
 
 /// The Figure 7 inputs, sorted for order-insensitive exact comparison.
-template <typename ScenarioLike>
-analysis::ListingDurations fig7_of(const ScenarioLike& s) {
+analysis::ListingDurations fig7_of(const analysis::Scenario& s) {
   analysis::ListingDurations durations = analysis::compute_listing_durations(
       s.ecosystem.store, s.crawl.nated_set, s.pipeline.dynamic_prefixes);
   std::sort(durations.all_days.begin(), durations.all_days.end());
@@ -101,6 +99,39 @@ TEST(CacheEquivalence, CacheHitReproducesFreshScenarioFigures) {
   EXPECT_EQ(hit.crawl.nated, fresh.crawl.nated);
 
   std::remove(path.c_str());
+}
+
+TEST(CacheEquivalence, HitWithForeignFleetSectionReRunsTheFleet) {
+  for (const bool chaos : {false, true}) {
+    SCOPED_TRACE(chaos ? "chaos" : "fault-free");
+    auto config = tiny_config();
+    if (chaos) {
+      config.faults = analysis::default_chaos_plan(config, /*chaos_seed=*/1);
+      config.pipeline.max_change_gap = net::Duration::days(7);
+      config.finalize();
+    }
+    const std::string path = "test_cache_equivalence_fleet.cache";
+    std::remove(path.c_str());
+    ASSERT_FALSE(analysis::run_scenario_cached(config, path).cache_hit);
+
+    // Fleet knobs sit outside the config fingerprint: the file still loads,
+    // but its fleet section no longer matches, so the hit re-runs the fleet.
+    config.fleet.probe_count += 40;
+    const analysis::Scenario hit = analysis::run_scenario_cached(config, path);
+    ASSERT_TRUE(hit.cache_hit);
+    EXPECT_EQ(hit.fleet.truths().size(), config.fleet.probe_count);
+
+    const analysis::Scenario fresh = analysis::run_scenario(config);
+    EXPECT_EQ(analysis::products_fingerprint(hit.crawl, hit.ecosystem,
+                                             hit.fleet, hit.pipeline,
+                                             hit.census),
+              analysis::products_fingerprint(fresh.crawl, fresh.ecosystem,
+                                             fresh.fleet, fresh.pipeline,
+                                             fresh.census));
+    EXPECT_EQ(hit.degradation, fresh.degradation);
+    EXPECT_EQ(hit.degradation.degraded(), chaos);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(CacheEquivalence, DistinctConfigsNeverShareOrEvict) {

@@ -43,9 +43,9 @@ ScenarioConfig chaos_config(std::uint64_t seed, std::uint64_t chaos_seed) {
 std::string cache_bytes(const Scenario& s) {
   const std::string path =
       std::string("test_chaos_bytes_") + std::to_string(s.config.seed) + "_" +
-      std::to_string(s.injector->stats().total()) + ".cache";
+      std::to_string(s.degradation.injected.total()) + ".cache";
   EXPECT_TRUE(save_scenario_cache(path, s.config, s.crawl, s.ecosystem,
-                                  s.injector->stats()));
+                                  s.degradation.injected));
   std::ifstream is(path, std::ios::binary);
   std::ostringstream buffer;
   buffer << is.rdbuf();
@@ -65,7 +65,7 @@ TEST(ChaosBaseline, EmptyPlanIsByteIdenticalToFaultFreeRun) {
 
   // No degradation whatsoever...
   EXPECT_FALSE(a.degradation.degraded());
-  EXPECT_EQ(a.injector->stats().total(), 0u);
+  EXPECT_EQ(a.degradation.injected.total(), 0u);
   // ...and the heavy artifacts serialize to the very same bytes (the cache
   // writer is canonical: same products, same file).
   EXPECT_EQ(cache_bytes(a), cache_bytes(b));
@@ -80,7 +80,7 @@ TEST(ChaosDeterminism, SameSeedSamePlanSameDegradation) {
   const Scenario second = run_scenario(config);
   EXPECT_TRUE(first.degradation.degraded());
   EXPECT_EQ(first.degradation, second.degradation);
-  EXPECT_EQ(first.injector->stats(), second.injector->stats());
+  EXPECT_EQ(first.degradation.injected, second.degradation.injected);
   EXPECT_EQ(cache_bytes(first), cache_bytes(second));
 }
 
@@ -95,7 +95,7 @@ TEST(ChaosSweep, LedgerReconcilesAcrossSeedsAndPlans) {
     const auto failures = s.degradation.reconciliation_failures();
     EXPECT_TRUE(failures.empty())
         << "unreconciled: " << (failures.empty() ? "" : failures.front());
-    EXPECT_GT(s.injector->stats().total(), 0u);
+    EXPECT_GT(s.degradation.injected.total(), 0u);
 
     // Per-feed day accounting stays exact under faults.
     for (const blocklist::FeedHealth& health : s.ecosystem.stats.per_list) {

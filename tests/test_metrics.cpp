@@ -293,8 +293,8 @@ TEST(StageTimer, ConcurrentRecordsFromShardWorkersAllLand) {
 }
 
 TEST(StageTimer, MoveTransfersTimingsAndLeavesSourceEmpty) {
-  // Scenario and CachedScenario move their StageTimer; the mutex stays
-  // with each object, the entries move.
+  // A Scenario moves its StageTimer; the mutex stays with each object, the
+  // entries move.
   analysis::StageTimer source;
   source.record("world", 5.0);
   analysis::StageTimer moved(std::move(source));

@@ -39,11 +39,6 @@ std::uint64_t fingerprint_of(const Scenario& s) {
                               s.census);
 }
 
-std::uint64_t fingerprint_of(const CachedScenario& s) {
-  return products_fingerprint(s.crawl, s.ecosystem, s.fleet, s.pipeline,
-                              s.census);
-}
-
 std::uint64_t run_at(ScenarioConfig config, int jobs) {
   config.jobs = jobs;
   return fingerprint_of(run_scenario(config));
@@ -100,7 +95,7 @@ TEST(ParallelEquivalence, ChaosPlanDegradesIdenticallyAtAnyJobCount) {
   EXPECT_TRUE(serial.degradation.degraded());
   EXPECT_EQ(fingerprint_of(parallel), fingerprint_of(serial));
   EXPECT_EQ(parallel.degradation, serial.degradation);
-  EXPECT_EQ(parallel.injector->stats(), serial.injector->stats());
+  EXPECT_EQ(parallel.degradation.injected, serial.degradation.injected);
   EXPECT_TRUE(parallel.degradation.reconciliation_failures().empty());
 }
 

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "analysis/cache.h"
 #include "analysis/presets.h"
 #include "analysis/scenario.h"
 
@@ -153,13 +154,20 @@ TEST_F(SweepIntegration, JobsTwoIsByteIdentical) {
 TEST_F(SweepIntegration, WarmRerunHitsEveryCellWithSameReport) {
   const std::string dir = fresh_dir("sweep_warm");
   SweepConfig config = tiny_sweep(dir);
+  analysis::CacheMetrics& cache = analysis::cache_metrics();
+  net::metrics::Registry::global().reset();
   const SweepReport first = run_sweep(config);
   ASSERT_EQ(first.cells_failed, 0u);
+  const std::uint64_t cold_bytes_written = cache.bytes_written.value();
+  net::metrics::Registry::global().reset();
   const SweepReport second = run_sweep(config);
   EXPECT_EQ(second.cache_hits, second.cells.size());
   EXPECT_EQ(second.fresh, 0u);
   EXPECT_EQ(second.resumed, 0u);
   EXPECT_EQ(second.report_fingerprint, first.report_fingerprint);
+  // A warm cell decodes its own cache file exactly once.
+  EXPECT_EQ(cache.hits.value(), second.cells.size());
+  EXPECT_EQ(cache.bytes_read.value(), cold_bytes_written);
 }
 
 TEST_F(SweepIntegration, InjectedFailureIsIsolated) {

@@ -223,24 +223,10 @@ int main(int argc, char** argv) {
 
     std::cerr << "simulating (seed " << config.seed << ", "
               << config.world.as_count << " ASes)...\n";
-    const analysis::CachedScenario s = [&] {
-      if (use_cache) {
-        return analysis::run_scenario_cached(config, flags.get("cache-file"));
-      }
-      analysis::Scenario fresh = analysis::run_scenario(config);
-      analysis::CachedScenario wrapped{std::move(fresh.config),
-                                       std::move(fresh.world),
-                                       std::move(fresh.catalogue),
-                                       std::move(fresh.ecosystem),
-                                       std::move(fresh.crawl),
-                                       std::move(fresh.fleet),
-                                       std::move(fresh.pipeline),
-                                       std::move(fresh.census),
-                                       std::move(fresh.degradation),
-                                       /*cache_hit=*/false};
-      wrapped.stage_times = std::move(fresh.stage_times);
-      return wrapped;
-    }();
+    const analysis::Scenario s =
+        use_cache
+            ? analysis::run_scenario_cached(config, flags.get("cache-file"))
+            : analysis::run_scenario(config);
     if (use_cache) {
       manifest.cache_hit = s.cache_hit;
       std::cerr << (s.cache_hit ? "loaded crawl+ecosystem from cache\n"

@@ -7,7 +7,6 @@
 //               [--jobs N] [--out-dir DIR] [--census]
 //               [--cache [--cache-file PATH]] [--resume-days K]
 //               [--chaos [--chaos-seed N]] [--metrics-out FILE]
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -138,22 +137,18 @@ int main(int argc, char** argv) {
     // when base and extended runs resolve to the SAME abuse horizon, so the
     // base config must declare it up front: end of the last collection
     // period plus the resume window.
-    std::int64_t last_end_seconds = 0;
-    for (const net::TimeWindow& period : config.ecosystem.periods) {
-      last_end_seconds = std::max(last_end_seconds, period.end.seconds());
-    }
-    config.horizon_days =
-        static_cast<int>(last_end_seconds / 86400) + resume_days;
+    config.horizon_days = static_cast<int>(
+        analysis::scenario_span(config).collection.end.day() + resume_days);
   }
 
   const bool use_cache = flags.get_bool("cache") || flags.has("cache-file") ||
                          resume_days > 0;
+  const std::string cache_path = flags.has("cache-file")
+                                     ? flags.get("cache-file")
+                                     : analysis::default_cache_path(config);
   if (use_cache) {
     // Fail fast on an unusable cache path — silently simulating for minutes
     // and then failing (or quietly not caching) helps nobody.
-    const std::string cache_path = flags.has("cache-file")
-                                       ? flags.get("cache-file")
-                                       : analysis::default_cache_path(config);
     if (const auto error = analysis::preflight_cache_path(cache_path)) {
       std::cerr << "error: " << *error << '\n';
       return 1;
@@ -163,39 +158,32 @@ int main(int argc, char** argv) {
   std::cerr << "simulating (seed " << config.seed << ", "
             << config.world.as_count << " ASes)...\n";
   analysis::EvolvePath evolve_path = analysis::EvolvePath::kFreshRun;
-  const analysis::CachedScenario s = [&] {
+  const analysis::Scenario s = [&] {
     if (resume_days > 0) {
-      // Ensure the base cache exists (a no-op load when it already does),
-      // then evolve from it — so the first --resume-days invocation costs
-      // base + tail, and every later one just the tail.
-      {
-        const analysis::CachedScenario base =
-            analysis::run_scenario_cached(config, flags.get("cache-file"));
-        std::cerr << (base.cache_hit
-                          ? "loaded base scenario from cache\n"
-                          : "simulated base scenario and wrote cache\n");
-      }
-      analysis::EvolvedScenario evolved = analysis::evolve_scenario_cached(
-          config, resume_days, flags.get("cache-file"));
+      // Decode the base cache once and evolve from it. A missing base is
+      // simulated and cached first, so the first --resume-days invocation
+      // costs base + tail and every later one just the tail.
+      analysis::StageTimer stage_times;
+      std::optional<analysis::CachedCore> base = stage_times.time(
+          "cache-load",
+          [&] { return analysis::load_scenario_cache(cache_path, config); });
+      analysis::EvolvedScenario evolved = [&] {
+        if (base) {
+          std::cerr << "loaded base scenario from cache\n";
+          return analysis::evolve_scenario_cached(
+              config, resume_days, std::move(base), std::move(stage_times));
+        }
+        (void)analysis::run_scenario_cached(config, cache_path, std::nullopt,
+                                            std::move(stage_times));
+        std::cerr << "simulated base scenario and wrote cache\n";
+        return analysis::evolve_scenario_cached(config, resume_days,
+                                                cache_path);
+      }();
       evolve_path = evolved.path;
       return std::move(evolved.scenario);
     }
-    if (use_cache) {
-      return analysis::run_scenario_cached(config, flags.get("cache-file"));
-    }
-    analysis::Scenario fresh = analysis::run_scenario(config);
-    analysis::CachedScenario wrapped{std::move(fresh.config),
-                                     std::move(fresh.world),
-                                     std::move(fresh.catalogue),
-                                     std::move(fresh.ecosystem),
-                                     std::move(fresh.crawl),
-                                     std::move(fresh.fleet),
-                                     std::move(fresh.pipeline),
-                                     std::move(fresh.census),
-                                     std::move(fresh.degradation),
-                                     /*cache_hit=*/false};
-    wrapped.stage_times = std::move(fresh.stage_times);
-    return wrapped;
+    return use_cache ? analysis::run_scenario_cached(config, cache_path)
+                     : analysis::run_scenario(config);
   }();
   if (resume_days > 0) {
     std::cerr << (evolve_path == analysis::EvolvePath::kResumed
