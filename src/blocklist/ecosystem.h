@@ -130,9 +130,10 @@ void publish_feed_metrics(const EcosystemStats& stats);
 /// stream as a single chunk is exactly simulate_ecosystem — the scenario
 /// instead feeds inet::stream_abuse slices, so peak memory holds one slice
 /// of the stream instead of every event of the run (the difference between
-/// flat and linear-in-days RSS at world scale; see DESIGN.md). Feeds still
-/// evolve in parallel within each chunk on their per-feed RNG substreams,
-/// and the products are byte-identical for every chunking and pool size.
+/// flat and linear-in-days RSS at world scale; see DESIGN.md). ingest()
+/// cuts each chunk into fixed-size blocks, and feeds evolve in parallel
+/// within each block on their per-feed RNG substreams; the products are
+/// byte-identical for every chunking and pool size.
 class EcosystemSimulator {
  public:
   EcosystemSimulator(std::span<const BlocklistInfo> catalogue,

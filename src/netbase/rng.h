@@ -99,6 +99,22 @@ class Rng {
 
   bool bernoulli(double probability) { return uniform_real() < probability; }
 
+  /// bernoulli(p) as one integer compare, for loops that draw against a
+  /// fixed p: pass threshold = bernoulli_threshold(p). It draws the same 53
+  /// bits and gives the same answer for every p, because u * 2^-53 < p
+  /// holds for an integer u exactly when u < ceil(p * 2^53).
+  bool bernoulli_below(std::uint64_t threshold) {
+    return (next() >> 11) < threshold;
+  }
+
+  /// The threshold of bernoulli(p): ceil(p * 2^53) clamped to [0, 2^53], so
+  /// p <= 0 (and NaN) never fires and p >= 1 always does.
+  [[nodiscard]] static std::uint64_t bernoulli_threshold(double probability) {
+    if (!(probability > 0.0)) return 0;
+    if (probability >= 1.0) return std::uint64_t{1} << 53;
+    return static_cast<std::uint64_t>(std::ceil(std::ldexp(probability, 53)));
+  }
+
   /// Exponential with the given mean (= 1/rate). Used for lease durations,
   /// listing lifetimes and inter-event gaps.
   double exponential(double mean) {

@@ -15,7 +15,11 @@ namespace fs = std::filesystem;
 class CacheBudgetTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "cache_budget";
+    // One directory per case: ctest runs the cases as parallel processes.
+    dir_ = fs::path(::testing::TempDir()) /
+           ("cache_budget_" + std::string(::testing::UnitTest::GetInstance()
+                                              ->current_test_info()
+                                              ->name()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_set>
+#include <vector>
+
+#include "blocklist/catalogue.h"
 
 namespace reuse::net {
 namespace {
@@ -178,6 +182,39 @@ TEST(Rng, ShuffleIsAPermutation) {
   auto sorted = shuffled;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(sorted, items);
+}
+
+TEST(Rng, BernoulliThresholdDrawIsBitEqualToBernoulli) {
+  std::vector<double> probabilities = {
+      0.0, 0x1.0p-60, 0x1.0p-53, 0.05, 0.5, 1.0 - 0x1.0p-53, 1.0, 1.5, -0.1,
+      std::numeric_limits<double>::quiet_NaN()};
+  const std::size_t edge_cases = probabilities.size();
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    for (const auto& info : blocklist::build_catalogue(seed ^ 0xca7aULL)) {
+      probabilities.push_back(info.pickup_rate);
+    }
+  }
+  for (std::size_t k = 0; k < probabilities.size(); ++k) {
+    const double p = probabilities[k];
+    const std::uint64_t threshold = Rng::bernoulli_threshold(p);
+    // The compare itself, at the draws around the threshold and at the ends
+    // of the 53-bit range.
+    for (const std::uint64_t u :
+         {std::uint64_t{0}, std::uint64_t{1}, threshold - 1, threshold,
+          threshold + 1, (std::uint64_t{1} << 53) - 1}) {
+      if (u >= std::uint64_t{1} << 53) continue;
+      EXPECT_EQ(static_cast<double>(u) * 0x1.0p-53 < p, u < threshold)
+          << "p=" << p << " u=" << u;
+    }
+    // Twin generators: the same answers, and the same stream afterwards.
+    Rng a(1000 + k);
+    Rng b(1000 + k);
+    const int draws = k < edge_cases ? 100000 : 2000;
+    for (int i = 0; i < draws; ++i) {
+      ASSERT_EQ(a.bernoulli(p), b.bernoulli_below(threshold)) << "p=" << p;
+    }
+    EXPECT_EQ(a.state(), b.state());
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -242,6 +243,67 @@ TEST(StoreEquivalence, SpanAndPointRecordsCoalesceIdentically) {
   expect_equivalent(by_days, oracle);
   expect_equivalent(by_span, oracle);
   EXPECT_EQ(by_days.presence(3, address).interval_count(), 1u);
+}
+
+// The ecosystem records each snapshot by walking its live table in slot
+// order, so the order of record() calls must reach no product. The same
+// multiset of daily records (and observed days) in two shuffled orders,
+// enough to cross the 64Ki-record fold threshold several times, must give
+// identical listings, observed days, listing count and memory footprint.
+TEST(StoreEquivalence, RecordOrderReachesNoProduct) {
+  struct Record {
+    ListId list = 0;
+    std::uint32_t address = 0;
+    std::int64_t day = 0;
+  };
+  net::Rng rng(41);
+  std::vector<Record> records;
+  for (int k = 0; k < 250000; ++k) {
+    records.push_back(
+        Record{static_cast<ListId>(1 + rng.uniform(6)),
+               0x0a000000u + static_cast<std::uint32_t>(rng.uniform(40000)),
+               static_cast<std::int64_t>(rng.uniform(90))});
+  }
+  const auto fill = [&](std::uint64_t seed) {
+    std::vector<Record> order = records;
+    net::Rng shuffler(seed);
+    shuffler.shuffle(order);
+    SnapshotStore store;
+    for (const Record& record : order) {
+      store.record(record.list, net::Ipv4Address(record.address), record.day);
+      store.mark_observed(record.list, record.day);
+    }
+    return store;
+  };
+  const SnapshotStore a = fill(1);
+  const SnapshotStore b = fill(2);
+
+  ASSERT_EQ(a.listing_count(), b.listing_count());
+  EXPECT_GT(a.listing_count(), std::size_t{1} << 16);
+  EXPECT_EQ(a.memory_bytes(), b.memory_bytes());
+  std::vector<std::tuple<ListId, std::uint32_t,
+                         std::vector<net::IntervalSet::Interval>>>
+      listings_a;
+  a.for_each_listing([&](ListId list, net::Ipv4Address address,
+                         const net::IntervalSet& presence) {
+    listings_a.emplace_back(list, address.value(), presence.intervals());
+  });
+  std::size_t i = 0;
+  b.for_each_listing([&](ListId list, net::Ipv4Address address,
+                         const net::IntervalSet& presence) {
+    ASSERT_LT(i, listings_a.size());
+    EXPECT_EQ(std::get<0>(listings_a[i]), list);
+    EXPECT_EQ(std::get<1>(listings_a[i]), address.value());
+    EXPECT_EQ(std::get<2>(listings_a[i]), presence.intervals());
+    ++i;
+  });
+  EXPECT_EQ(i, listings_a.size());
+  for (ListId list = 1; list <= 6; ++list) {
+    ASSERT_NE(a.observed_days(list), nullptr);
+    ASSERT_NE(b.observed_days(list), nullptr);
+    EXPECT_EQ(a.observed_days(list)->intervals(),
+              b.observed_days(list)->intervals());
+  }
 }
 
 }  // namespace

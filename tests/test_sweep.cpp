@@ -1,9 +1,12 @@
 #include "sweep/sweep.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <system_error>
 
 #include "analysis/cache.h"
 #include "analysis/presets.h"
@@ -14,8 +17,23 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// ctest runs each case in its own process, several at once, and most cases
+// build the cold sweep: a per-process root keeps one process's sweep from
+// reading another's cache files. It is removed when the process exits.
+const fs::path& scratch_root() {
+  static const struct Root {
+    fs::path path = fs::path(::testing::TempDir()) /
+                    ("reuse_sweep_test_" + std::to_string(::getpid()));
+    ~Root() {
+      std::error_code ignored;
+      fs::remove_all(path, ignored);
+    }
+  } kRoot;
+  return kRoot.path;
+}
+
 std::string fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
+  const fs::path dir = scratch_root() / name;
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir.string();

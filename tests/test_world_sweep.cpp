@@ -14,6 +14,11 @@ struct SweepCase {
   WorldConfig config;
 };
 
+// gtest would otherwise print the raw bytes of the case, whose first word is
+// the address of `name`; that address moves with ASLR on every run, so the
+// discovered ctest names would change with each rebuild.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
+
 WorldConfig base(std::uint64_t seed) {
   WorldConfig config = test_world_config(seed);
   config.as_count = 30;
