@@ -41,10 +41,12 @@ CrawlOutput run_scenario_crawl(const inet::World& world,
   if (stage_times != nullptr) {
     // Sub-stage attribution: the '.' prefix keeps these out of
     // StageTimer::total_millis() — their time is already inside "crawl".
-    // shards/merge are caller-side wall-clock and partition the stage;
-    // build/events are per-shard scope sums, which overlap in wall-clock
-    // under a pool, so they go in as CPU attribution — never as wall
-    // (recording them as wall made crawl.events exceed "crawl" at jobs=8).
+    // overlay/shards/merge are caller-side wall-clock and partition the
+    // stage; build/events are per-shard scope sums, which overlap in
+    // wall-clock under a pool, so they go in as CPU attribution — never as
+    // wall (recording them as wall made crawl.events exceed "crawl" at
+    // jobs=8).
+    stage_times->record("crawl.overlay", result.overlay_millis);
     stage_times->record("crawl.shards", result.shards_millis);
     stage_times->record("crawl.merge", result.merge_millis);
     stage_times->record_cpu("crawl.build", result.build_millis);

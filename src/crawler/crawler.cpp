@@ -24,11 +24,13 @@ void Crawler::start(net::TimeWindow window) {
     get_nodes_queue_.push_back(
         PendingGetNodes{bootstrap_, config_.get_nodes_per_endpoint});
     seen_endpoints_.insert(bootstrap_);
-    dispatch_tick();
     schedule_reping();
     events_.schedule_after(config_.bootstrap_retry_initial, [this] {
       bootstrap_watchdog(config_.bootstrap_retry_initial);
     });
+    // Last: the tick reads the pending events to decide how far ahead its
+    // successor may go, so the re-ping and the watchdog must be queued.
+    dispatch_tick();
   });
   events_.schedule_at(window.end, [this] { running_ = false; });
 }
@@ -100,16 +102,32 @@ void Crawler::dispatch_tick() {
     budget -= ports;
   }
 
+  // A cooling entry rotates to the back and still spends one unit of budget.
+  // The repeat check stops the loop only on a one-entry queue or when the
+  // next entry has the endpoint just rotated (the watchdog queued the
+  // bootstrap again beside its own cooling entry); an all-cooling queue of
+  // N >= 2 distinct neighbours cycles through the whole budget. Where that
+  // spin leaves the queue decides which endpoint is contacted first once
+  // one cools down, so it is calibrated behaviour: stopping after one pass
+  // would move every crawl product.
+  std::size_t cooling_run = 0;  // consecutive cooling rotations
   while (budget > 0 && !get_nodes_queue_.empty()) {
+    if (cooling_run == get_nodes_queue_.size()) {
+      // A full lap without a send or a repeat: the rest of the budget only
+      // rotates, so apply it at once.
+      rotate_cooling_discovery(budget, 1);
+      break;
+    }
     PendingGetNodes pending = get_nodes_queue_.front();
     get_nodes_queue_.pop_front();
     if (!cooled_down(pending.endpoint.address)) {
       get_nodes_queue_.push_back(pending);
-      // Guard against spinning on an all-cooling queue: stop after one pass.
+      ++cooling_run;
       if (--budget == 0) break;
       if (get_nodes_queue_.front().endpoint == pending.endpoint) break;
       continue;
     }
+    cooling_run = 0;
     send_get_nodes(pending.endpoint);
     touch(pending.endpoint.address);
     --budget;
@@ -118,7 +136,64 @@ void Crawler::dispatch_tick() {
     }
   }
 
-  events_.schedule_after(net::Duration::seconds(1), [this] { dispatch_tick(); });
+  schedule_next_tick();
+}
+
+void Crawler::schedule_next_tick() {
+  // Until another event runs or a queued address cools down, every tick
+  // finds both queues cooling and only rotates discovery; apply those
+  // rotations now and wake at the first tick that can differ. Nothing else
+  // runs in between, and a tick scheduled now still fires after every event
+  // already queued for its second, as the one-second chain's would.
+  const net::SimTime next = events_.now() + net::Duration::seconds(1);
+  net::SimTime wake = events_.next_time().value_or(next);
+  // Lowers `wake` to when `address` may be contacted again; true once no
+  // tick is left to skip.
+  const auto lower_wake = [&](net::Ipv4Address address) {
+    const auto it = next_contact_ok_.find(address);
+    wake = it == next_contact_ok_.end() ? next : std::min(wake, it->second);
+    return wake <= next;
+  };
+  if (wake <= next ||
+      std::any_of(verify_queue_.begin(), verify_queue_.end(), lower_wake) ||
+      std::any_of(get_nodes_queue_.begin(), get_nodes_queue_.end(),
+                  [&](const PendingGetNodes& pending) {
+                    return lower_wake(pending.endpoint.address);
+                  })) {
+    events_.schedule_at(next, [this] { dispatch_tick(); });
+    return;
+  }
+  rotate_cooling_discovery(config_.messages_per_second, (wake - next).count());
+  events_.schedule_at(wake, [this] { dispatch_tick(); });
+}
+
+void Crawler::rotate_cooling_discovery(std::size_t budget,
+                                       std::int64_t ticks) {
+  // The discovery loop over a queue with no contactable entry: each step
+  // rotates one entry and spends one unit of budget, and the tick stops once
+  // the budget is gone or entry i and entry (i + 1) mod n share an endpoint.
+  const std::size_t n = get_nodes_queue_.size();
+  if (n == 0) return;
+  const auto repeats = [&](std::size_t i) {
+    return get_nodes_queue_[i % n].endpoint ==
+           get_nodes_queue_[(i + 1) % n].endpoint;
+  };
+  std::size_t shift = 0;
+  std::size_t first = 0;
+  while (first < n && !repeats(first)) ++first;
+  if (first == n) {
+    // No repeat anywhere: every tick rotates by its whole budget.
+    shift = static_cast<std::size_t>(ticks) % n * (budget % n) % n;
+  } else {
+    for (std::int64_t t = 0; t < ticks; ++t) {
+      std::size_t until = 0;  // steps from `shift` to the next repeat
+      while (!repeats(shift + until)) ++until;
+      shift = (shift + std::min(budget, until + 1)) % n;
+    }
+  }
+  std::rotate(get_nodes_queue_.begin(),
+              get_nodes_queue_.begin() + static_cast<std::ptrdiff_t>(shift),
+              get_nodes_queue_.end());
 }
 
 void Crawler::send_get_nodes(const net::Endpoint& endpoint) {

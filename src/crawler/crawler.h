@@ -151,6 +151,8 @@ class Crawler {
   };
 
   void dispatch_tick();
+  void schedule_next_tick();
+  void rotate_cooling_discovery(std::size_t budget, std::int64_t ticks);
   void bootstrap_watchdog(net::Duration delay);
   void send_get_nodes(const net::Endpoint& endpoint);
   void on_get_nodes_response(const net::Endpoint& from,

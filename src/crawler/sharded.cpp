@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <unordered_set>
 #include <utility>
@@ -27,8 +28,7 @@ struct ShardHarvest {
   CrawlStats stats;
   std::unordered_map<net::Ipv4Address, IpEvidence> evidence;
   std::unordered_set<dht::NodeId> node_ids;
-  std::size_t dht_peers = 0;
-  std::size_t dht_addresses = 0;
+  std::size_t dht_addresses = 0;  ///< shard 0 only; replicas evolve alike
   std::uint64_t transport_fault_request_drops = 0;
   std::uint64_t transport_fault_response_drops = 0;
   sim::FaultStats fault_stats;
@@ -36,16 +36,16 @@ struct ShardHarvest {
   double events_millis = 0.0;
 };
 
-ShardHarvest run_shard(const inet::World& world,
+ShardHarvest run_shard(const std::shared_ptr<const dht::DhtOverlay>& overlay,
                        const ShardedCrawlConfig& config, std::size_t shard) {
   ShardHarvest harvest;
   const auto build_start = Clock::now();
 
   // One self-contained simulation: queue, overlay replica, faults, crawler.
-  // The replica seed is NOT salted — every shard rebuilds the same overlay,
-  // modelling one network crawled from K vantage points.
+  // Every shard replicates the same overlay, modelling one network crawled
+  // from K vantage points.
   sim::EventQueue events;
-  dht::DhtNetwork network(world, events, config.dht);
+  dht::DhtNetwork network(overlay, events);
 
   // The burst generator is stateful, so a shared injector would serialize
   // the shards (and make drop decisions depend on shard scheduling). Each
@@ -79,8 +79,7 @@ ShardHarvest run_shard(const inet::World& world,
   harvest.stats = crawler.stats();
   harvest.evidence = crawler.discovered();
   harvest.node_ids = crawler.node_ids();
-  harvest.dht_peers = network.peer_count();
-  harvest.dht_addresses = network.distinct_addresses();
+  if (shard == 0) harvest.dht_addresses = network.distinct_addresses();
   harvest.transport_fault_request_drops =
       network.transport().stats().requests_lost_fault;
   harvest.transport_fault_response_drops =
@@ -121,6 +120,13 @@ ShardedCrawlResult run_sharded_crawl(const inet::World& world,
   ShardedCrawlConfig effective = config;
   effective.shard_count = shard_count;
 
+  // The overlay is built once and only read from here on; each shard's
+  // replica holds its mutable state.
+  const auto overlay_start = Clock::now();
+  const auto overlay =
+      std::make_shared<const dht::DhtOverlay>(world, config.dht);
+  const double overlay_millis = elapsed_millis(overlay_start);
+
   // Index-addressed slots; grain 1 because each shard is minutes of work
   // relative to the claim cost, and balance matters more than claim count.
   const auto shards_start = Clock::now();
@@ -128,7 +134,7 @@ ShardedCrawlResult run_sharded_crawl(const inet::World& world,
   net::for_each_index(
       pool, shard_count,
       [&](std::size_t shard) {
-        harvests[shard] = run_shard(world, effective, shard);
+        harvests[shard] = run_shard(overlay, effective, shard);
       },
       /*grain=*/1);
   const double shards_millis = elapsed_millis(shards_start);
@@ -138,7 +144,7 @@ ShardedCrawlResult run_sharded_crawl(const inet::World& world,
   // merged products trivially jobs-independent.
   const auto merge_start = Clock::now();
   ShardedCrawlResult result;
-  result.dht_peers = harvests.front().dht_peers;
+  result.dht_peers = overlay->peer_count();
   result.dht_addresses = harvests.front().dht_addresses;
   std::unordered_set<dht::NodeId> node_ids;
   for (ShardHarvest& harvest : harvests) {
@@ -170,6 +176,7 @@ ShardedCrawlResult run_sharded_crawl(const inet::World& world,
     }
   }
   std::sort(result.nated.begin(), result.nated.end());
+  result.overlay_millis = overlay_millis;
   result.shards_millis = shards_millis;
   result.merge_millis = elapsed_millis(merge_start);
   return result;

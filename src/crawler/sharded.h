@@ -3,13 +3,15 @@
 // A DHT crawl is a discrete-event simulation — one event queue, one clock —
 // so it cannot be split across threads without breaking determinism. The
 // sharded crawl sidesteps that by partitioning the *crawler*, not the
-// queue: K independent simulations are built, each with its own event
-// queue, its own replica of the DHT overlay (identical by construction:
-// same world, same DhtNetworkConfig seed), and a crawler restricted to the
-// hash-partition i of K of the IPv4 space (the multi-vantage partitioning
-// from crawler/vantage.h). Each shard keeps many bt_ping probes in flight
-// inside its own queue exactly as the single crawler does; shards never
-// communicate, so they run on pool workers concurrently.
+// queue: the DHT overlay is built once (dht::DhtOverlay, immutable after
+// the build), and K independent simulations each get their own event
+// queue, a replica of that overlay holding only the state churn and the
+// transport mutate, and a crawler restricted to the hash-partition i of K
+// of the IPv4 space (the multi-vantage partitioning from
+// crawler/vantage.h). Each shard keeps many bt_ping probes in flight inside
+// its own queue exactly as the single crawler does; shards never
+// communicate and only read the shared overlay, so they run on pool
+// workers concurrently.
 //
 // Determinism contract: the shard count is configuration (part of the
 // scenario fingerprint), not a function of --jobs. Every jobs value runs
@@ -41,9 +43,10 @@ struct ShardedCrawlConfig {
   /// overwritten per shard (partition i of shard_count, seed salted by the
   /// shard index as in crawler/vantage.h); everything else applies as-is.
   CrawlerConfig base;
-  /// Replica overlay configuration. Every shard uses it verbatim — same
-  /// seed — so all replicas evolve identically and shard 0's network-side
-  /// numbers (peer/address counts) describe them all.
+  /// Overlay configuration. The overlay is built once from it and every
+  /// shard replicates that one build, so all replicas evolve identically
+  /// and shard 0's network-side numbers (peer/address counts) describe them
+  /// all.
   dht::DhtNetworkConfig dht;
   /// Crawl window; each shard's queue runs to window.end plus drain slack.
   net::TimeWindow window;
@@ -68,21 +71,22 @@ struct ShardedCrawlResult {
   /// Union of the per-shard node_id sets (replicas host the same peers, so
   /// per-shard counts overlap and must not be summed).
   std::size_t distinct_node_ids = 0;
-  std::size_t dht_peers = 0;      ///< shard 0's replica
-  std::size_t dht_addresses = 0;  ///< shard 0's replica
+  std::size_t dht_peers = 0;      ///< the overlay's
+  std::size_t dht_addresses = 0;  ///< shard 0's replica, after churn
   std::uint64_t transport_fault_request_drops = 0;   ///< summed over shards
   std::uint64_t transport_fault_response_drops = 0;  ///< summed over shards
   /// Summed per-shard injector ledgers; reconciles exactly against the
   /// consumer-side counters in `stats` (see analysis/degradation.h).
   sim::FaultStats fault_stats;
-  // Sub-stage attribution. build/events are CPU-milliseconds summed across
-  // shards: under a pool those scopes overlap in wall-clock, so they
-  // describe where the work went, never elapsed time (at jobs=8 their sum
-  // exceeds the stage's wall by design). shards/merge are caller-side
-  // wall-clock and partition the stage: shards_millis + merge_millis is
-  // (within measurement noise) the whole run_sharded_crawl call.
-  double shards_millis = 0.0;  ///< wall: the parallel per-shard region
-  double build_millis = 0.0;   ///< CPU: replica construction + churn
+  // Sub-stage attribution. overlay/shards/merge are caller-side wall-clock
+  // and partition the stage: their sum is (within measurement noise) the
+  // whole run_sharded_crawl call. build/events are CPU-milliseconds summed
+  // across shards: under a pool those scopes overlap in wall-clock, so they
+  // describe where the work went inside shards_millis, never elapsed time
+  // (at jobs=8 their sum exceeds the stage's wall by design).
+  double overlay_millis = 0.0;  ///< wall: the one overlay build
+  double shards_millis = 0.0;   ///< wall: the parallel per-shard region
+  double build_millis = 0.0;  ///< CPU: replica set-up, injector and churn
   double events_millis = 0.0;  ///< CPU: event-queue execution (the crawl)
   double merge_millis = 0.0;   ///< wall: index-ordered harvest merging
 };

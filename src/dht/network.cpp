@@ -1,6 +1,8 @@
 #include "dht/network.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "internet/lease.h"
 
@@ -12,27 +14,38 @@ namespace {
 const net::Endpoint kBootstrapEndpoint{
     net::Ipv4Address::from_octets(203, 0, 113, 1), 6881};
 
+std::uint16_t draw_client_port(net::Rng& rng) {
+  return static_cast<std::uint16_t>(1024 + rng.uniform(60000));
+}
+
+/// DHCP grants are exclusive: draw until we land on a free address. Pools
+/// are provisioned with headroom (subscription ratio < 1), so this loop is
+/// short.
+net::Ipv4Address claim_pool_address(
+    const inet::DynamicPoolInfo& pool,
+    std::unordered_set<net::Ipv4Address>& occupied, net::Rng& rng) {
+  for (int attempts = 0; attempts < 1024; ++attempts) {
+    const net::Ipv4Address candidate = inet::draw_pool_address(pool, rng);
+    if (occupied.insert(candidate).second) return candidate;
+  }
+  throw std::runtime_error("claim_pool_address: pool exhausted");
+}
+
 }  // namespace
 
-DhtNetwork::DhtNetwork(const inet::World& world, sim::EventQueue& events,
-                       const DhtNetworkConfig& config)
-    : world_(world),
-      events_(events),
-      config_(config),
-      rng_(config.seed),
-      transport_(events, net::Rng(config.seed ^ 0x7a57ULL), config.transport) {
+DhtOverlay::DhtOverlay(const inet::World& world, const DhtNetworkConfig& config)
+    : world_(world), config_(config), rng_(config.seed) {
+  peers_.reserve(1 + world_.bittorrent_users().size());
   // Bootstrap node: user id 0, always online.
   PeerBehavior always_on;
   always_on.always_on_fraction = 1.0;
   peers_.emplace_back(inet::UserId{0}, rng_(), kBootstrapEndpoint, always_on);
-  bind_peer(0);
 
   // One peer per BitTorrent user.
   for (const inet::UserId id : world_.bittorrent_users()) {
     const inet::User& user = world_.user(id);
     const net::Endpoint endpoint = assign_endpoint(user);
     peers_.emplace_back(id, user.seed, endpoint, config_.behavior);
-    bind_peer(peers_.size() - 1);
   }
 
   // Stale endpoints: some peers changed ports before the crawl began; the
@@ -76,11 +89,10 @@ DhtNetwork::DhtNetwork(const inet::World& world, sim::EventQueue& events,
   }
 }
 
-net::Endpoint DhtNetwork::assign_endpoint(const inet::User& user) {
+net::Endpoint DhtOverlay::assign_endpoint(const inet::User& user) {
   switch (user.attachment) {
     case inet::AttachmentKind::kStatic: {
-      return net::Endpoint{user.fixed_address,
-                           static_cast<std::uint16_t>(1024 + rng_.uniform(60000))};
+      return net::Endpoint{user.fixed_address, draw_client_port(rng_)};
     }
     case inet::AttachmentKind::kHomeNat:
     case inet::AttachmentKind::kCgn: {
@@ -90,43 +102,49 @@ net::Endpoint DhtNetwork::assign_endpoint(const inet::User& user) {
       return it->second.bind(user.id);
     }
     case inet::AttachmentKind::kDynamic: {
-      const net::Ipv4Address address = claim_dynamic_address(user.pool_index);
-      return net::Endpoint{address,
-                           static_cast<std::uint16_t>(1024 + rng_.uniform(60000))};
+      const net::Ipv4Address address = claim_pool_address(
+          world_.pool(user.pool_index), pool_occupancy_[user.pool_index], rng_);
+      return net::Endpoint{address, draw_client_port(rng_)};
     }
   }
   throw std::logic_error("assign_endpoint: unknown attachment");
 }
 
-net::Ipv4Address DhtNetwork::claim_dynamic_address(std::uint32_t pool_index) {
-  const inet::DynamicPoolInfo& pool = world_.pool(pool_index);
-  auto& occupied = pool_occupancy_[pool_index];
-  // DHCP grants are exclusive: draw until we land on a free address. Pools
-  // are provisioned with headroom (subscription ratio < 1), so this loop is
-  // short.
-  for (int attempts = 0; attempts < 1024; ++attempts) {
-    const net::Ipv4Address candidate = inet::draw_pool_address(pool, rng_);
-    if (occupied.insert(candidate).second) return candidate;
+DhtNetwork::DhtNetwork(const inet::World& world, sim::EventQueue& events,
+                       const DhtNetworkConfig& config)
+    : DhtNetwork(std::make_shared<const DhtOverlay>(world, config), events) {}
+
+DhtNetwork::DhtNetwork(std::shared_ptr<const DhtOverlay> overlay,
+                       sim::EventQueue& events)
+    : overlay_(std::move(overlay)),
+      events_(events),
+      rng_(overlay_->rng_),
+      transport_(events, net::Rng(overlay_->config_.seed ^ 0x7a57ULL),
+                 overlay_->config_.transport),
+      nat_devices_(overlay_->nat_devices_),
+      pool_occupancy_(overlay_->pool_occupancy_) {
+  live_.reserve(overlay_->peers_.size());
+  for (const DhtPeer& peer : overlay_->peers_) {
+    live_.push_back(LivePeer{peer.endpoint(), peer.id()});
   }
-  throw std::runtime_error("claim_dynamic_address: pool exhausted");
+  for (std::size_t i = 0; i < live_.size(); ++i) bind_peer(i);
 }
 
 void DhtNetwork::bind_peer(std::size_t index) {
-  transport_.bind(peers_[index].endpoint(),
-                  [this, index](const net::Endpoint&, const DhtRequest& request) {
-                    return peers_[index].handle(request, events_.now());
-                  });
-}
-
-void DhtNetwork::unbind_peer(std::size_t index) {
-  transport_.unbind(peers_[index].endpoint());
+  transport_.bind(
+      live_[index].endpoint,
+      [this, index](const net::Endpoint&, const DhtRequest& request) {
+        return overlay_->peer_at(index).handle_as(live_[index].id, request,
+                                                  events_.now());
+      });
 }
 
 void DhtNetwork::schedule_churn(net::TimeWindow window) {
-  for (std::size_t i = 1; i < peers_.size(); ++i) {
+  const inet::World& world = overlay_->world();
+  for (std::size_t i = 1; i < live_.size(); ++i) {
     schedule_reboots(i, window);
-    const inet::User& user = world_.user(peers_[i].user());
-    if (config_.dynamic_address_churn &&
+    const inet::User& user = world.user(overlay_->peer_at(i).user());
+    if (overlay_->config().dynamic_address_churn &&
         user.attachment == inet::AttachmentKind::kDynamic) {
       schedule_moves(i, window);
     }
@@ -134,8 +152,9 @@ void DhtNetwork::schedule_churn(net::TimeWindow window) {
 }
 
 void DhtNetwork::schedule_reboots(std::size_t index, net::TimeWindow window) {
-  if (config_.reboot_rate_per_day <= 0.0) return;
-  const double mean_gap_seconds = 86400.0 / config_.reboot_rate_per_day;
+  const double rate = overlay_->config().reboot_rate_per_day;
+  if (rate <= 0.0) return;
+  const double mean_gap_seconds = 86400.0 / rate;
   net::SimTime t = window.begin;
   for (;;) {
     t = t + net::Duration(static_cast<std::int64_t>(
@@ -146,8 +165,9 @@ void DhtNetwork::schedule_reboots(std::size_t index, net::TimeWindow window) {
 }
 
 void DhtNetwork::schedule_moves(std::size_t index, net::TimeWindow window) {
-  const inet::User& user = world_.user(peers_[index].user());
-  const inet::DynamicPoolInfo& pool = world_.pool(user.pool_index);
+  const inet::World& world = overlay_->world();
+  const inet::User& user = world.user(overlay_->peer_at(index).user());
+  const inet::DynamicPoolInfo& pool = world.pool(user.pool_index);
   net::SimTime t = window.begin;
   for (;;) {
     t = t + net::Duration(static_cast<std::int64_t>(
@@ -158,53 +178,47 @@ void DhtNetwork::schedule_moves(std::size_t index, net::TimeWindow window) {
 }
 
 void DhtNetwork::reboot_peer(std::size_t index) {
-  DhtPeer& peer = peers_[index];
-  peer.reboot(rng_());
+  const DhtPeer& peer = overlay_->peer_at(index);
+  LivePeer& live = live_[index];
+  live.id = peer.reboot_id(rng_());
   ++churn_.reboots;
-  if (!rng_.bernoulli(config_.port_change_on_reboot)) return;
+  if (!rng_.bernoulli(overlay_->config().port_change_on_reboot)) return;
   ++churn_.port_changes;
-  unbind_peer(index);
-  const inet::User& user = world_.user(peer.user());
+  transport_.unbind(live.endpoint);
+  const inet::User& user = overlay_->world().user(peer.user());
   switch (user.attachment) {
     case inet::AttachmentKind::kHomeNat:
-    case inet::AttachmentKind::kCgn: {
-      auto it = nat_devices_.find(user.fixed_address);
-      peer.set_endpoint(it->second.bind(user.id));
+    case inet::AttachmentKind::kCgn:
+      live.endpoint =
+          nat_devices_.find(user.fixed_address)->second.bind(user.id);
       break;
-    }
     case inet::AttachmentKind::kStatic:
-    case inet::AttachmentKind::kDynamic: {
-      peer.set_endpoint(net::Endpoint{
-          peer.endpoint().address,
-          static_cast<std::uint16_t>(1024 + rng_.uniform(60000))});
+    case inet::AttachmentKind::kDynamic:
+      live.endpoint.port = draw_client_port(rng_);
       break;
-    }
   }
   bind_peer(index);
 }
 
 void DhtNetwork::move_dynamic_peer(std::size_t index) {
-  DhtPeer& peer = peers_[index];
-  const inet::User& user = world_.user(peer.user());
+  const inet::World& world = overlay_->world();
+  const inet::User& user = world.user(overlay_->peer_at(index).user());
+  LivePeer& live = live_[index];
   ++churn_.address_changes;
-  unbind_peer(index);
-  pool_occupancy_[user.pool_index].erase(peer.endpoint().address);
-  const net::Ipv4Address address = claim_dynamic_address(user.pool_index);
-  peer.set_endpoint(net::Endpoint{
-      address, static_cast<std::uint16_t>(1024 + rng_.uniform(60000))});
+  transport_.unbind(live.endpoint);
+  std::unordered_set<net::Ipv4Address>& occupied =
+      pool_occupancy_[user.pool_index];
+  occupied.erase(live.endpoint.address);
+  live.endpoint.address =
+      claim_pool_address(world.pool(user.pool_index), occupied, rng_);
+  live.endpoint.port = draw_client_port(rng_);
   bind_peer(index);
-}
-
-std::uint64_t DhtNetwork::total_node_ids_used() const {
-  std::uint64_t total = 0;
-  for (const DhtPeer& peer : peers_) total += peer.ids_used();
-  return total - peers_.front().ids_used();  // exclude bootstrap
 }
 
 std::size_t DhtNetwork::distinct_addresses() const {
   std::unordered_set<net::Ipv4Address> addresses;
-  for (std::size_t i = 1; i < peers_.size(); ++i) {
-    addresses.insert(peers_[i].endpoint().address);
+  for (std::size_t i = 1; i < live_.size(); ++i) {
+    addresses.insert(live_[i].endpoint.address);
   }
   return addresses.size();
 }

@@ -33,11 +33,12 @@ bool DhtPeer::online(net::SimTime t) const {
   return day_position < duty_fraction_;
 }
 
-std::optional<DhtResponse> DhtPeer::handle(const DhtRequest& request,
-                                           net::SimTime now) const {
+std::optional<DhtResponse> DhtPeer::handle_as(const NodeId& id,
+                                              const DhtRequest& request,
+                                              net::SimTime now) const {
   if (!online(now)) return std::nullopt;
   DhtResponse response;
-  response.responder_id = id_;
+  response.responder_id = id;
   response.version = version_;
   if (const auto* get_nodes = std::get_if<GetNodesRequest>(&request)) {
     response.neighbors = table_.closest(get_nodes->target, kNeighborsPerReply);
@@ -46,7 +47,7 @@ std::optional<DhtResponse> DhtPeer::handle(const DhtRequest& request,
 }
 
 void DhtPeer::reboot(std::uint64_t nonce) {
-  id_ = NodeId::derive(private_address_, nonce);
+  id_ = reboot_id(nonce);
   ++ids_used_;
   // The routing table survives in practice (clients persist it), so only the
   // identity changes; own_id drift inside the table is harmless here because

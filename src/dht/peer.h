@@ -46,7 +46,18 @@ class DhtPeer {
 
   /// Protocol handler. Returns nothing while offline — over UDP, silence.
   [[nodiscard]] std::optional<DhtResponse> handle(const DhtRequest& request,
-                                                  net::SimTime now) const;
+                                                  net::SimTime now) const {
+    return handle_as(id_, request, now);
+  }
+  /// The same handler answering as node `id`: a simulation of a shared
+  /// overlay keeps each peer's current node_id itself (dht/network.h).
+  [[nodiscard]] std::optional<DhtResponse> handle_as(
+      const NodeId& id, const DhtRequest& request, net::SimTime now) const;
+
+  /// The node_id a reboot with `nonce` derives.
+  [[nodiscard]] NodeId reboot_id(std::uint64_t nonce) const {
+    return NodeId::derive(private_address_, nonce);
+  }
 
   /// Reboot: regenerate node_id from a fresh nonce. The endpoint change (if
   /// any) is managed by the network, which owns NAT bindings.

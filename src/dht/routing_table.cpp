@@ -20,17 +20,6 @@ void RoutingTable::insert(const NodeContact& contact) {
   contacts_.push_back(contact);
 }
 
-void RoutingTable::update(const NodeContact& contact) {
-  if (contact.id == own_id_) return;
-  for (NodeContact& existing : contacts_) {
-    if (existing.id == contact.id) {
-      existing.endpoint = contact.endpoint;
-      return;
-    }
-  }
-  insert(contact);
-}
-
 std::vector<NodeContact> RoutingTable::closest(const NodeId& target,
                                                std::size_t count) const {
   std::vector<NodeContact> out = contacts_;

@@ -29,10 +29,6 @@ class RoutingTable {
   /// entries alive in real tables). Duplicate ids are ignored.
   void insert(const NodeContact& contact);
 
-  /// Replaces the stored endpoint for `id` if present (peer re-announced
-  /// after a rebind); otherwise behaves like insert().
-  void update(const NodeContact& contact);
-
   /// The up-to `count` contacts closest to `target` by XOR distance.
   [[nodiscard]] std::vector<NodeContact> closest(const NodeId& target,
                                                  std::size_t count) const;

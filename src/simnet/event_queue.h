@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <queue>
 #include <vector>
 
@@ -34,6 +35,12 @@ class EventQueue {
 
   /// Drains the queue completely (use only for workloads that terminate).
   void run_all();
+
+  /// When the next pending event fires; nullopt when none is pending.
+  [[nodiscard]] std::optional<net::SimTime> next_time() const {
+    if (queue_.empty()) return std::nullopt;
+    return queue_.top().when;
+  }
 
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }

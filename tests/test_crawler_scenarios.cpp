@@ -40,7 +40,7 @@ struct ScheduledPeer {
   int phase = 0;
 
   [[nodiscard]] bool online(net::SimTime now) const {
-    const auto block = now.seconds() / (period_hours * 3600);
+    const auto block = now.seconds() / (std::int64_t{period_hours} * 3600);
     return block % 2 == phase;
   }
 };

@@ -75,6 +75,19 @@ TEST(EventQueue, EventsCanCascade) {
   EXPECT_EQ(events.now(), net::SimTime(99));
 }
 
+TEST(EventQueue, NextTimePeeksTheEarliestPendingEvent) {
+  EventQueue events;
+  EXPECT_FALSE(events.next_time().has_value());
+  events.schedule_at(net::SimTime(30), [] {});
+  events.schedule_at(net::SimTime(10), [] {});
+  EXPECT_EQ(events.next_time(), net::SimTime(10));
+  events.run_next();
+  EXPECT_EQ(events.next_time(), net::SimTime(30));
+  EXPECT_EQ(events.executed(), 1u);
+  events.run_next();
+  EXPECT_FALSE(events.next_time().has_value());
+}
+
 TEST(EventQueue, RunNextReturnsFalseWhenEmpty) {
   EventQueue events;
   EXPECT_FALSE(events.run_next());

@@ -91,17 +91,6 @@ TEST(RoutingTable, IgnoresSelfAndDuplicates) {
   EXPECT_EQ(table.all_contacts().front().endpoint.port, 1);
 }
 
-TEST(RoutingTable, UpdateReplacesEndpoint) {
-  net::Rng rng(4);
-  const NodeId own = random_id(rng);
-  RoutingTable table(own);
-  const NodeId peer = random_id(rng);
-  table.insert(NodeContact{net::Endpoint{net::Ipv4Address(1), 1}, peer});
-  table.update(NodeContact{net::Endpoint{net::Ipv4Address(1), 99}, peer});
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.all_contacts().front().endpoint.port, 99);
-}
-
 // Property sweep: closest() agrees with an exact sort over all contacts.
 class RoutingTableClosest : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -3,15 +3,22 @@
 // simulations, and the index-ordered harvest makes the merged products
 // byte-identical whether the shards ran serially or on 2 or 8 workers —
 // with and without fault injection, where the summed per-shard ledgers
-// must still reconcile exactly against the consumer-side counters.
+// must still reconcile exactly against the consumer-side counters. Shards
+// replicate one shared overlay; their harvest must equal that of shards
+// that each build their own DhtNetwork from the config.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <optional>
+#include <unordered_set>
+#include <utility>
 
 #include "crawler/sharded.h"
+#include "dht/network.h"
 #include "internet/world.h"
 #include "netbase/thread_pool.h"
+#include "simnet/event_queue.h"
 #include "simnet/faults.h"
 
 namespace reuse::crawler {
@@ -159,6 +166,117 @@ TEST(ShardedCrawl, ShardCountChangesProductsButNotTheirShape) {
     EXPECT_EQ(users, it->second.max_concurrent_users);
     EXPECT_GE(users, 2u);
   }
+}
+
+/// The reference: every shard builds its own DhtNetwork from the config,
+/// and the harvests merge in shard order. run_sharded_crawl, whose shards
+/// replicate one shared overlay, must match it byte for byte.
+ShardedCrawlResult independently_built_shards(
+    const inet::World& world, const ShardedCrawlConfig& config) {
+  ShardedCrawlResult result;
+  std::unordered_set<dht::NodeId> node_ids;
+  for (std::size_t shard = 0; shard < config.shard_count; ++shard) {
+    sim::EventQueue events;
+    dht::DhtNetwork network(world, events, config.dht);
+    std::optional<sim::FaultInjector> injector;
+    if (!config.faults.empty()) {
+      sim::FaultPlan plan = config.faults;
+      plan.seed ^= 0x9e3779b97f4a7c15ULL * (shard + 1);
+      injector.emplace(std::move(plan));
+      injector->begin_stage(sim::FaultStage::kCrawl);
+      injector->designate_bootstrap(network.bootstrap_endpoint());
+      network.transport().attach_faults(&*injector);
+    }
+    network.schedule_churn(config.window);
+    CrawlerConfig crawl_config = config.base;
+    crawl_config.partition_count = config.shard_count;
+    crawl_config.partition_index = shard;
+    crawl_config.seed = config.base.seed ^ (0x9e3779b9ULL * (shard + 1));
+    Crawler crawler(network.transport(), events, network.bootstrap_endpoint(),
+                    crawl_config);
+    crawler.start(config.window);
+    events.run_until(config.window.end + net::Duration::minutes(10));
+
+    const CrawlStats& s = crawler.stats();
+    CrawlStats& into = result.stats;
+    into.get_nodes_sent += s.get_nodes_sent;
+    into.get_nodes_responses += s.get_nodes_responses;
+    into.pings_sent += s.pings_sent;
+    into.ping_responses += s.ping_responses;
+    into.endpoints_discovered += s.endpoints_discovered;
+    into.endpoints_skipped_restricted += s.endpoints_skipped_restricted;
+    into.verification_rounds += s.verification_rounds;
+    into.bootstrap_retries += s.bootstrap_retries;
+    into.bootstrap_recoveries += s.bootstrap_recoveries;
+    into.verification_retries += s.verification_retries;
+    into.verification_recoveries += s.verification_recoveries;
+    if (injector.has_value()) {
+      const sim::FaultStats f = injector->stats();
+      result.fault_stats.burst_request_drops += f.burst_request_drops;
+      result.fault_stats.burst_response_drops += f.burst_response_drops;
+      result.fault_stats.bootstrap_blackholes += f.bootstrap_blackholes;
+    }
+    result.transport_fault_request_drops +=
+        network.transport().stats().requests_lost_fault;
+    result.transport_fault_response_drops +=
+        network.transport().stats().responses_lost_fault;
+    result.evidence.insert(crawler.discovered().begin(),
+                           crawler.discovered().end());
+    node_ids.insert(crawler.node_ids().begin(), crawler.node_ids().end());
+    if (shard == 0) {
+      result.dht_peers = network.peer_count();
+      result.dht_addresses = network.distinct_addresses();
+    }
+  }
+  result.distinct_node_ids = node_ids.size();
+  for (const auto& [address, evidence] : result.evidence) {
+    if (evidence.is_nated()) {
+      result.nated.emplace_back(address, evidence.max_concurrent_users);
+    }
+  }
+  std::sort(result.nated.begin(), result.nated.end());
+  return result;
+}
+
+TEST(ShardedCrawl, SharedOverlayMatchesIndependentlyBuiltShards) {
+  const inet::World world(tiny_world_config());
+  const ShardedCrawlResult reference =
+      independently_built_shards(world, tiny_crawl_config(/*chaos=*/false));
+  ASSERT_GT(reference.evidence.size(), 0u);
+  expect_identical(reference, run_with_jobs(world, /*chaos=*/false, 1),
+                   "independent vs shared, jobs 1");
+  expect_identical(reference, run_with_jobs(world, /*chaos=*/false, 8),
+                   "independent vs shared, jobs 8");
+}
+
+TEST(ShardedCrawl, ChaosSharedOverlayMatchesIndependentlyBuiltShards) {
+  const inet::World world(tiny_world_config());
+  const ShardedCrawlResult reference =
+      independently_built_shards(world, tiny_crawl_config(/*chaos=*/true));
+  ASSERT_GT(reference.fault_stats.total(), 0u);
+  expect_identical(reference, run_with_jobs(world, /*chaos=*/true, 1),
+                   "independent vs shared, jobs 1");
+  expect_identical(reference, run_with_jobs(world, /*chaos=*/true, 8),
+                   "independent vs shared, jobs 8");
+}
+
+TEST(ShardedCrawl, SmallOverlayAtEightJobsMatchesSerial) {
+  // Sized for a Debug ThreadSanitizer build: eight pool workers read one
+  // overlay while each mutates only its own replica, with faults on.
+  inet::WorldConfig world_config = tiny_world_config();
+  world_config.as_count = 5;
+  const inet::World world(world_config);
+  ShardedCrawlConfig config = tiny_crawl_config(/*chaos=*/true);
+  config.shard_count = 8;
+  net::ThreadPool pool(8);
+  const ShardedCrawlResult serial = run_sharded_crawl(world, config, nullptr);
+  ASSERT_GT(serial.evidence.size(), 0u);
+  ASSERT_GT(serial.stats.pings_sent, 0u);
+  ASSERT_GT(serial.fault_stats.total(), 0u);
+  expect_identical(serial, run_sharded_crawl(world, config, &pool),
+                   "jobs 1 vs 8");
+  expect_identical(serial, independently_built_shards(world, config),
+                   "shared vs independent");
 }
 
 }  // namespace
