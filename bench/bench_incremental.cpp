@@ -35,6 +35,7 @@
 #include "analysis/cache.h"
 #include "analysis/scenario.h"
 #include "netbase/flags.h"
+#include "netbase/json.h"
 #include "netbase/thread_pool.h"
 #include "serve/snapshot.h"
 
@@ -213,8 +214,8 @@ int main(int argc, char** argv) {
        << "  \"resume_millis\": " << resume_millis << ",\n"
        << "  \"resume_speedup\": " << resume_speedup << ",\n"
        << "  \"fingerprints_match\": true,\n"
-       << "  \"products_fingerprint\": \"" << std::hex << fresh_fingerprint
-       << std::dec << "\",\n"
+       << "  \"products_fingerprint\": \"" << net::hex16(fresh_fingerprint)
+       << "\",\n"
        << "  \"delta\": {\n"
        << "    \"removed\": " << delta.removed_count() << ",\n"
        << "    \"upserts\": " << delta.upsert_count() << ",\n"

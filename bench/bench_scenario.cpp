@@ -206,8 +206,8 @@ int main(int argc, char** argv) {
        << "  \"runs\": " << runs << ",\n"
        << "  \"warmup_runs\": 1,\n"
        << "  \"hardware_jobs\": " << net::ThreadPool::hardware_jobs() << ",\n"
-       << "  \"products_fingerprint\": \"" << std::hex
-       << reports.front().fingerprint << std::dec << "\",\n"
+       << "  \"products_fingerprint\": \""
+       << net::hex16(reports.front().fingerprint) << "\",\n"
        << "  \"fingerprints_match\": true,\n"
        << "  \"timings\": {";
   for (std::size_t i = 0; i < reports.size(); ++i) {

@@ -23,6 +23,7 @@
 
 #include "analysis/presets.h"
 #include "netbase/flags.h"
+#include "netbase/json.h"
 #include "sweep/sweep.h"
 
 namespace {
@@ -131,8 +132,8 @@ int main(int argc, char** argv) {
        << "  \"cache_dir_bytes\": " << warm.cache_dir_bytes << ",\n"
        << "  \"fingerprint_match\": "
        << (fingerprint_match ? "true" : "false") << ",\n"
-       << "  \"report_fingerprint\": \"" << std::hex
-       << cold.report_fingerprint << std::dec << "\"\n"
+       << "  \"report_fingerprint\": \""
+       << net::hex16(cold.report_fingerprint) << "\"\n"
        << "}\n";
 
   const std::string out_path = flags.get("out");

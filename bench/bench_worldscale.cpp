@@ -55,8 +55,9 @@ struct RunSpec {
 };
 
 /// Child-side: run one configuration and dump flat "key value" lines (plus
-/// "stage <name> <millis>" triples) for the parent to pick up. Text lines
-/// instead of JSON so the parent needs no parser beyond operator>>.
+/// "stage <name> <millis> <cpu_millis>" lines) for the parent to pick up.
+/// Text lines instead of JSON so the parent needs no parser beyond
+/// operator>>.
 void run_child(ScenarioConfig config, const RunSpec& spec,
                const std::string& report_path) {
   config.jobs = spec.jobs;
@@ -91,7 +92,7 @@ void run_child(ScenarioConfig config, const RunSpec& spec,
          << "eco_days " << eco_days << '\n'
          << "peak_rss_bytes " << reuse::net::peak_rss_bytes() << '\n'
          << "total_millis " << scenario.stage_times.total_millis() << '\n'
-         << "fingerprint " << std::hex << fingerprint << std::dec << '\n'
+         << "fingerprint " << reuse::net::hex16(fingerprint) << '\n'
          << "fleet_records " << scenario.fleet.record_count() << '\n'
          << "fleet_runs " << scenario.fleet.compressed_log().run_count()
          << '\n'
@@ -101,7 +102,8 @@ void run_child(ScenarioConfig config, const RunSpec& spec,
          << '\n'
          << "store_bytes " << scenario.ecosystem.store.memory_bytes() << '\n';
   for (const StageTiming& timing : scenario.stage_times.timings()) {
-    report << "stage " << timing.stage << ' ' << timing.millis << '\n';
+    report << "stage " << timing.stage << ' ' << timing.millis << ' '
+           << timing.cpu_millis << '\n';
   }
   report.flush();
   // Skip static destructors: the world at this scale takes a while to tear
@@ -109,9 +111,14 @@ void run_child(ScenarioConfig config, const RunSpec& spec,
   _exit(report.good() ? 0 : 1);
 }
 
+using StageMillis = std::vector<std::pair<std::string, double>>;
+
 struct RunReport {
   std::map<std::string, std::string> values;
-  std::vector<std::pair<std::string, double>> stages;
+  StageMillis stages;
+  /// CPU attribution (StageTimer::record_cpu) of the stages that record
+  /// it, as in BENCH_scenario.json's stages_cpu.
+  StageMillis stages_cpu;
 
   [[nodiscard]] double number(const std::string& key) const {
     const auto it = values.find(key);
@@ -134,8 +141,10 @@ bool read_report(const std::string& path, RunReport* out) {
     if (key == "stage") {
       std::string stage;
       double millis = 0.0;
-      fields >> stage >> millis;
+      double cpu_millis = 0.0;
+      fields >> stage >> millis >> cpu_millis;
       out->stages.emplace_back(stage, millis);
+      if (cpu_millis > 0.0) out->stages_cpu.emplace_back(stage, cpu_millis);
     } else {
       std::string value;
       fields >> value;
@@ -143,6 +152,17 @@ bool read_report(const std::string& path, RunReport* out) {
     }
   }
   return !out->values.empty();
+}
+
+/// Writes `{"stage": value, ...}`.
+void write_stage_map(std::ostream& json, const StageMillis& stages) {
+  json << '{';
+  for (std::size_t s = 0; s < stages.size(); ++s) {
+    if (s > 0) json << ", ";
+    json << '"' << reuse::net::json_escape(stages[s].first)
+         << "\": " << stages[s].second;
+  }
+  json << '}';
 }
 
 }  // namespace
@@ -285,28 +305,24 @@ int main(int argc, char** argv) {
          << static_cast<std::uint64_t>(report.number("store_bytes")) << ",\n"
          << "      \"products_fingerprint\": \""
          << net::json_escape(report.text("fingerprint")) << "\",\n"
-         << "      \"stages\": {";
-    bool first_stage = true;
-    for (const auto& [stage, millis] : report.stages) {
-      if (!first_stage) json << ", ";
-      first_stage = false;
-      json << '"' << net::json_escape(stage) << "\": " << millis;
-    }
+         << "      \"stages\": ";
+    write_stage_map(json, report.stages);
+    json << ",\n      \"stages_cpu\": ";
+    write_stage_map(json, report.stages_cpu);
     // Per-stage throughput for the top-level stages ('.'-prefixed sub-stages
     // are already counted inside their parent).
-    json << "},\n      \"stage_addresses_per_sec\": {";
-    first_stage = true;
+    StageMillis per_sec;
     for (const auto& [stage, millis] : report.stages) {
       if (stage.find('.') != std::string::npos) continue;
-      if (!first_stage) json << ", ";
-      first_stage = false;
       // Sub-millisecond stages (e.g. a skipped census) would divide into
       // absurd rates; report 0 instead of noise.
-      const double per_sec =
-          millis >= 1.0 ? report.number("addresses") / (millis / 1000.0) : 0.0;
-      json << '"' << net::json_escape(stage) << "\": " << per_sec;
+      per_sec.emplace_back(
+          stage, millis >= 1.0 ? report.number("addresses") / (millis / 1000.0)
+                               : 0.0);
     }
-    json << "}\n    }";
+    json << ",\n      \"stage_addresses_per_sec\": ";
+    write_stage_map(json, per_sec);
+    json << "\n    }";
   }
   json << "\n  }\n}\n";
 

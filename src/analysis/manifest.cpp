@@ -15,13 +15,6 @@
 namespace reuse::analysis {
 namespace {
 
-std::string hex_fingerprint(std::uint64_t fingerprint) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(fingerprint));
-  return buffer;
-}
-
 void append_fault_plan(std::ostringstream& out, const sim::FaultPlan& plan) {
   out << "{\"seed\": " << plan.seed
       << ", \"episodes\": " << plan.episodes.size() << ", \"by_kind\": {";
@@ -54,7 +47,7 @@ std::string run_manifest_json(const RunManifestInfo& info) {
   out << ", \"calibration_version\": " << kCalibrationVersion;
   if (info.config != nullptr) {
     out << ", \"config_fingerprint\": \""
-        << hex_fingerprint(config_fingerprint(*info.config)) << '"';
+        << net::hex16(config_fingerprint(*info.config)) << '"';
     out << ", \"seed\": " << info.config->seed;
     out << ", \"jobs\": " << info.config->jobs;
     out << ", \"fault_plan\": ";
@@ -121,7 +114,7 @@ std::optional<std::string> write_run_manifest(const std::string& path,
     os << "# run_manifest tool=" << info.tool;
     if (info.config != nullptr) {
       os << " config_fingerprint="
-         << hex_fingerprint(config_fingerprint(*info.config));
+         << net::hex16(config_fingerprint(*info.config));
     }
     if (info.snapshot_fingerprint.has_value()) {
       os << " snapshot_fingerprint=" << *info.snapshot_fingerprint;

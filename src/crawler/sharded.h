@@ -80,10 +80,10 @@ struct ShardedCrawlResult {
   sim::FaultStats fault_stats;
   // Sub-stage attribution. overlay/shards/merge are caller-side wall-clock
   // and partition the stage: their sum is (within measurement noise) the
-  // whole run_sharded_crawl call. build/events are CPU-milliseconds summed
-  // across shards: under a pool those scopes overlap in wall-clock, so they
-  // describe where the work went inside shards_millis, never elapsed time
-  // (at jobs=8 their sum exceeds the stage's wall by design).
+  // whole run_sharded_crawl call. build/events are each shard thread's CPU
+  // time (CLOCK_THREAD_CPUTIME_ID) summed across shards: they describe
+  // where the work went inside shards_millis, never elapsed time, and do
+  // not grow when more pool workers than cores wait for a CPU.
   double overlay_millis = 0.0;  ///< wall: the one overlay build
   double shards_millis = 0.0;   ///< wall: the parallel per-shard region
   double build_millis = 0.0;  ///< CPU: replica set-up, injector and churn

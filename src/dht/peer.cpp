@@ -14,7 +14,7 @@ const char* const kClientVersions[] = {"UT355", "UT360", "LT110", "LT120",
 
 DhtPeer::DhtPeer(inet::UserId user, std::uint64_t seed, net::Endpoint endpoint,
                  const PeerBehavior& behavior)
-    : user_(user), seed_(seed), endpoint_(endpoint), id_(), table_(NodeId{}) {
+    : user_(user), endpoint_(endpoint), id_(), table_(NodeId{}) {
   net::Rng rng(seed);
   // The private (pre-NAT) address feeds node_id derivation, per the paper.
   private_address_ = static_cast<std::uint32_t>(rng());
@@ -44,14 +44,6 @@ std::optional<DhtResponse> DhtPeer::handle_as(const NodeId& id,
     response.neighbors = table_.closest(get_nodes->target, kNeighborsPerReply);
   }
   return response;
-}
-
-void DhtPeer::reboot(std::uint64_t nonce) {
-  id_ = reboot_id(nonce);
-  ++ids_used_;
-  // The routing table survives in practice (clients persist it), so only the
-  // identity changes; own_id drift inside the table is harmless here because
-  // bucket placement only shapes which neighbours are returned.
 }
 
 }  // namespace reuse::dht

@@ -54,23 +54,14 @@ class DhtPeer {
   [[nodiscard]] std::optional<DhtResponse> handle_as(
       const NodeId& id, const DhtRequest& request, net::SimTime now) const;
 
-  /// The node_id a reboot with `nonce` derives.
+  /// The node_id a reboot with `nonce` derives. A simulation keeps the
+  /// current id (and endpoint) itself: DhtNetwork::reboot_peer.
   [[nodiscard]] NodeId reboot_id(std::uint64_t nonce) const {
     return NodeId::derive(private_address_, nonce);
   }
 
-  /// Reboot: regenerate node_id from a fresh nonce. The endpoint change (if
-  /// any) is managed by the network, which owns NAT bindings.
-  void reboot(std::uint64_t nonce);
-
-  void set_endpoint(net::Endpoint endpoint) { endpoint_ = endpoint; }
-
-  /// How many distinct node_ids this peer has used (1 + reboots).
-  [[nodiscard]] std::uint64_t ids_used() const { return ids_used_; }
-
  private:
   inet::UserId user_;
-  std::uint64_t seed_;
   std::uint32_t private_address_;
   net::Endpoint endpoint_;
   NodeId id_;
@@ -79,7 +70,6 @@ class DhtPeer {
   bool always_on_;
   double duty_fraction_;
   double duty_phase_;
-  std::uint64_t ids_used_ = 1;
 };
 
 }  // namespace reuse::dht

@@ -1,5 +1,6 @@
-// Minimal JSON string escaping, shared by every hand-rolled JSON emitter
-// (StageTimer::to_json, the metrics exporter, the run manifest).
+// Minimal JSON string escaping and fingerprint formatting, shared by every
+// hand-rolled JSON emitter (StageTimer::to_json, the metrics exporter, the
+// run manifest, the sweep report, the bench and lookupd JSON).
 //
 // The repo deliberately has no JSON library dependency; emitters build
 // documents with ostringstream. That is fine as long as every string that
@@ -40,6 +41,17 @@ inline std::string json_escape(std::string_view text) {
           out += c;
         }
     }
+  }
+  return out;
+}
+
+/// `value` as 16 zero-padded lower-case hex digits (printf "%016llx"): the
+/// rendering of every 64-bit fingerprint in the repo's reports.
+inline std::string hex16(std::uint64_t value) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out(16, '0');
+  for (auto digit = out.rbegin(); digit != out.rend(); ++digit, value >>= 4) {
+    *digit = kHex[value & 0xf];
   }
   return out;
 }

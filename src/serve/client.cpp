@@ -1,21 +1,27 @@
 #include "serve/client.h"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
+#include <deque>
 #include <mutex>
 #include <thread>
 
+#include "serve/lookup.h"
 #include "serve/server.h"
 
 namespace reuse::serve {
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using Clock = LoadSession::Clock;
+
+/// The load generator's traffic mix (see LoadConfig::queries).
+constexpr double kListedFraction = 0.4;
+constexpr double kReusedFraction = 0.3;
 
 [[nodiscard]] std::string u32_bytes(std::uint32_t value) {
   char bytes[4];
@@ -30,6 +36,50 @@ using Clock = std::chrono::steady_clock;
       p * static_cast<double>(sorted.size() - 1) + 0.5);
   return sorted[std::min(index, sorted.size() - 1)];
 }
+
+/// The in-process transport: verdict_batch answers each batch at send, and
+/// the answers queue until run_load reads them.
+class EngineSession final : public LoadSession {
+ public:
+  explicit EngineSession(const LookupEngine& engine) : engine_(engine) {}
+
+  bool send_batch(std::uint64_t request_id,
+                  std::span<const std::uint32_t> addresses) override {
+    queries_.clear();
+    for (const std::uint32_t value : addresses) queries_.emplace_back(value);
+    verdicts_.resize(queries_.size());
+    engine_.verdict_batch(queries_, verdicts_);
+    ResponseFrame& answer = answers_.emplace_back();
+    answer.request_id = request_id;
+    answer.verdicts.reserve(verdicts_.size());
+    for (const Verdict verdict : verdicts_) {
+      answer.verdicts.push_back(verdict.bits);
+    }
+    return true;
+  }
+
+  std::optional<ResponseFrame> read_response(
+      Clock::time_point deadline) override {
+    if (answers_.empty()) {
+      // Only a send makes an answer, so none can arrive while waiting.
+      if (deadline != Clock::time_point::max()) {
+        std::this_thread::sleep_until(deadline);
+      }
+      return std::nullopt;
+    }
+    ResponseFrame answer = std::move(answers_.front());
+    answers_.pop_front();
+    return answer;
+  }
+
+  void shutdown_write() override {}
+
+ private:
+  const LookupEngine& engine_;
+  std::vector<net::Ipv4Address> queries_;
+  std::vector<Verdict> verdicts_;
+  std::deque<ResponseFrame> answers_;
+};
 
 }  // namespace
 
@@ -68,11 +118,29 @@ bool LookupClient::send_batch(std::uint64_t request_id,
   return send_bytes(encode_request(request_id, addresses));
 }
 
-std::optional<ResponseFrame> LookupClient::read_response() {
+std::optional<ResponseFrame> LookupClient::read_response(
+    Clock::time_point deadline) {
   for (;;) {
     if (auto response = decoder_.next()) return response;
     if (decoder_.error() != FrameError::kNone) return std::nullopt;
     if (eof_) return std::nullopt;
+    if (deadline != Clock::time_point::max()) {
+      // Wait for bytes until the deadline; once it has passed, take only
+      // what has already arrived.
+      const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            std::max(deadline - Clock::now(),
+                                     Clock::duration::zero()))
+                            .count();
+      const timespec timeout{static_cast<time_t>(left / 1'000'000'000),
+                             static_cast<long>(left % 1'000'000'000)};
+      pollfd pfd{fd_, POLLIN, 0};
+      const int ready = ::ppoll(&pfd, 1, &timeout, nullptr);
+      if (ready < 0 && errno == EINTR) continue;
+      if (ready == 0) {
+        if (Clock::now() >= deadline) return std::nullopt;
+        continue;
+      }
+    }
     char buf[4096];
     const ssize_t n = ::read(fd_, buf, sizeof buf);
     if (n > 0) {
@@ -113,113 +181,137 @@ void fill_batch(net::Rng& rng, const SamplePools& pools,
   }
 }
 
-LoadReport run_load(LookupServer& server,
+LoadReport run_load(const SessionFactory& connect,
                     const CompiledSnapshot& sample_source,
                     const LoadConfig& config) {
   const SamplePools pools = sample_pools(sample_source);
-  const int clients = std::max(config.clients, 1);
+  const auto clients =
+      static_cast<std::uint64_t>(std::max(config.clients, 1));
+  const std::size_t batch_size = std::max<std::size_t>(config.batch_size, 1);
+  const std::uint64_t batches = std::max<std::uint64_t>(
+      (config.queries + batch_size - 1) / batch_size, 1);
   const std::size_t window = std::max<std::size_t>(config.max_in_flight, 1);
+  // Each client offers 1/clients of target_qps, one batch per request.
+  const auto interval =
+      config.target_qps > 0.0
+          ? std::chrono::duration_cast<Clock::duration>(
+                std::chrono::duration<double>(
+                    static_cast<double>(batch_size * clients) /
+                    config.target_qps))
+          : Clock::duration::zero();
+  ServeMetrics& metrics = serve_metrics();
+
+  std::vector<std::unique_ptr<LoadSession>> sessions;
+  for (std::uint64_t c = 0; c < clients; ++c) sessions.push_back(connect());
 
   std::mutex merge_mutex;
   LoadReport report;
-  std::vector<std::uint64_t> latencies;
+  // Written by request id: each client owns the ids it sends.
+  report.latency_nanos.assign(batches, LoadReport::kUnanswered);
 
-  const auto started = Clock::now();
+  const auto start = Clock::now();
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
+  threads.reserve(sessions.size());
+  for (std::uint64_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
-      LookupClient client(server.connect_client());
-      if (!client.valid()) return;
-      net::Rng rng = net::substream(config.seed, kLoadSalt,
-                                    static_cast<std::uint64_t>(c));
-      std::vector<std::uint32_t> batch(std::max<std::size_t>(
-          config.batch_size, 1));
-      std::vector<Clock::time_point> sent_at(config.batches_per_client);
-
-      std::uint64_t submitted = 0, ok = 0, shed = 0;
-      std::uint64_t listed_words = 0, reused_words = 0;
-      std::vector<std::uint64_t> local_latencies;
-      local_latencies.reserve(config.batches_per_client);
+      LoadSession& session = *sessions[c];
+      std::vector<std::uint32_t> batch(batch_size);
+      std::vector<Clock::time_point> scheduled;  // by id / clients
+      LoadReport tally;
       std::size_t in_flight = 0;
 
-      const auto absorb = [&](const ResponseFrame& response) {
-        if (in_flight > 0) --in_flight;
-        const auto now = Clock::now();
-        if (response.request_id < sent_at.size()) {
-          local_latencies.push_back(static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  now - sent_at[response.request_id])
-                  .count()));
-        }
-        if (response.status == ResponseStatus::kShed) {
-          ++shed;
+      const auto absorb = [&](const ResponseFrame& answer) {
+        const std::uint64_t id = answer.request_id;
+        if (id % clients != c || id / clients >= scheduled.size()) return;
+        --in_flight;
+        const auto nanos = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                Clock::now() - scheduled[id / clients])
+                .count());
+        report.latency_nanos[id] = nanos;
+        metrics.batch_micros.observe(static_cast<std::int64_t>(nanos / 1000));
+        if (answer.status == ResponseStatus::kShed) {
+          ++tally.shed;
           return;
         }
-        ++ok;
-        for (const std::uint32_t word : response.verdicts) {
+        ++tally.ok;
+        for (const std::uint32_t word : answer.verdicts) {
           const Verdict verdict{word};
-          listed_words += verdict.listed() ? 1 : 0;
-          reused_words += verdict.reused() ? 1 : 0;
+          tally.listed_words += verdict.listed() ? 1 : 0;
+          tally.reused_words += verdict.reused() ? 1 : 0;
         }
       };
 
-      // Open-loop pacing: each client owns 1/clients of target_qps, one
-      // batch of queries per request frame.
-      const double per_client_qps =
-          config.target_qps > 0.0
-              ? config.target_qps / static_cast<double>(clients)
-              : 0.0;
-      const auto interval =
-          per_client_qps > 0.0
-              ? std::chrono::nanoseconds(static_cast<std::uint64_t>(
-                    1e9 * static_cast<double>(batch.size()) / per_client_qps))
-              : std::chrono::nanoseconds(0);
-
-      for (std::uint64_t b = 0; b < config.batches_per_client; ++b) {
-        if (interval.count() > 0) {
-          std::this_thread::sleep_until(started + interval * b);
+      for (std::uint64_t id = c; id < batches; id += clients) {
+        const Clock::time_point slot =
+            interval > Clock::duration::zero()
+                ? start + interval * static_cast<Clock::rep>(id / clients)
+                : Clock::now();
+        // Until the slot, read answers as they arrive; with the window
+        // full, wait for one.
+        while (auto answer = session.read_response(
+                   in_flight >= window ? Clock::time_point::max() : slot)) {
+          absorb(*answer);
         }
-        while (in_flight >= window) {
-          const auto response = client.read_response();
-          if (!response) break;
-          absorb(*response);
-        }
-        fill_batch(rng, pools, config.listed_fraction,
-                   config.reused_fraction, batch);
-        sent_at[b] = Clock::now();
-        if (!client.send_batch(b, batch)) break;
-        ++submitted;
+        // No answer before the deadline: the stream has ended.
+        if (in_flight >= window || Clock::now() < slot) break;
+        net::Rng rng = net::substream(config.seed, kLoadSalt, id);
+        fill_batch(rng, pools, kListedFraction, kReusedFraction, batch);
+        scheduled.push_back(interval > Clock::duration::zero() ? slot
+                                                                : Clock::now());
+        if (!session.send_batch(id, batch)) break;
+        ++tally.submitted;
         ++in_flight;
       }
-      client.shutdown_write();
-      while (auto response = client.read_response()) absorb(*response);
+      session.shutdown_write();
+      while (auto answer = session.read_response(Clock::time_point::max())) {
+        absorb(*answer);
+      }
 
       const std::lock_guard<std::mutex> lock(merge_mutex);
-      report.submitted += submitted;
-      report.ok += ok;
-      report.shed += shed;
-      report.listed_words += listed_words;
-      report.reused_words += reused_words;
-      latencies.insert(latencies.end(), local_latencies.begin(),
-                       local_latencies.end());
+      report.submitted += tally.submitted;
+      report.ok += tally.ok;
+      report.shed += tally.shed;
+      report.listed_words += tally.listed_words;
+      report.reused_words += tally.reused_words;
     });
   }
   for (std::thread& thread : threads) thread.join();
 
-  report.wall_seconds = std::chrono::duration_cast<std::chrono::duration<double>>(
-                            Clock::now() - started)
-                            .count();
+  report.wall_seconds =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  std::vector<std::uint64_t> latencies;
+  for (const std::uint64_t nanos : report.latency_nanos) {
+    if (nanos != LoadReport::kUnanswered) latencies.push_back(nanos);
+  }
   std::sort(latencies.begin(), latencies.end());
   report.p50_nanos = percentile(latencies, 0.50);
   report.p99_nanos = percentile(latencies, 0.99);
   report.p999_nanos = percentile(latencies, 0.999);
   report.max_nanos = latencies.empty() ? 0 : latencies.back();
   if (report.wall_seconds > 0.0) {
-    report.throughput_qps =
-        static_cast<double>(report.ok + report.shed) / report.wall_seconds;
+    report.throughput_qps = static_cast<double>(report.ok * batch_size) /
+                            report.wall_seconds;
   }
   return report;
+}
+
+LoadReport run_load(LookupServer& server,
+                    const CompiledSnapshot& sample_source,
+                    const LoadConfig& config) {
+  return run_load(
+      [&server] {
+        return std::make_unique<LookupClient>(server.connect_client());
+      },
+      sample_source, config);
+}
+
+LoadReport run_load(const LookupEngine& engine,
+                    const CompiledSnapshot& sample_source,
+                    const LoadConfig& config) {
+  return run_load(
+      [&engine] { return std::make_unique<EngineSession>(engine); },
+      sample_source, config);
 }
 
 std::string_view to_string(ChaosBehavior behavior) {

@@ -1,5 +1,6 @@
 #include "serve/lookup.h"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -24,8 +25,9 @@ ServeMetrics& serve_metrics() {
                           "entry count of the live snapshot"),
       net::metrics::histogram(
           "serve_batch_micros",
-          "wall-clock per replayed workload batch (scheduling-dependent, "
-          "excluded from the determinism contract like pool_)",
+          "load-generator request latency from scheduled send to answer "
+          "read (scheduling-dependent, excluded from the determinism "
+          "contract like pool_)",
           {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000,
            20000, 50000, 100000}),
   };
@@ -100,6 +102,31 @@ void LookupEngine::verdict_batch(std::span<const net::Ipv4Address> queries,
   }
   if (listed != 0) metrics.listed.add(listed);
   if (reused != 0) metrics.reused.add(reused);
+}
+
+bool LookupEngine::reload(const std::string& path, std::string* error) {
+  const std::lock_guard<std::mutex> lock(reload_mutex_);
+  std::string why;
+  std::optional<CompiledSnapshot> next;
+  if (file_magic(path) == kSnapshotDeltaMagic) {
+    if (auto delta = SnapshotDelta::load(path, &why)) {
+      if (const std::shared_ptr<const CompiledSnapshot> base = snapshot()) {
+        next = delta->apply(*base, &why);
+      } else {
+        why = "delta apply failed: no live snapshot to apply it to";
+      }
+    }
+  } else {
+    next = CompiledSnapshot::load(path, &why);
+  }
+  if (!next) {
+    reload_failures_.fetch_add(1, std::memory_order_relaxed);
+    if (error != nullptr) *error = std::move(why);
+    return false;
+  }
+  publish(std::make_shared<const CompiledSnapshot>(*std::move(next)));
+  reloads_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 }  // namespace reuse::serve

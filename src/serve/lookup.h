@@ -29,14 +29,17 @@
 // goes into caller-provided spans, and the serve_* metrics are cached
 // registry handles doing relaxed atomic adds. Query *counters* are
 // deterministic functions of the workload; the latency histogram
-// (serve_batch_micros, fed by the workload harness) is wall-clock and —
-// like the pool_ family — excluded from the determinism contract.
+// (serve_batch_micros, fed by the load generator in serve/client.h with
+// each request's time from its scheduled send to its answer) is wall-clock
+// and — like the pool_ family — excluded from the determinism contract.
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string>
 
 #include "netbase/metrics.h"
 #include "serve/snapshot.h"
@@ -45,7 +48,7 @@ namespace reuse::serve {
 
 /// Registry handles for the serve_ metric family, registered on first use
 /// (same pattern as analysis::cache_metrics). Shared by the engine, the
-/// workload harness, and the run-manifest writer.
+/// load generator, and the run-manifest writer.
 struct ServeMetrics {
   net::metrics::Counter& queries;        ///< single-address verdicts served
   net::metrics::Counter& batches;        ///< verdict_batch calls
@@ -54,7 +57,8 @@ struct ServeMetrics {
   net::metrics::Counter& reused;         ///< verdicts with NATed or dynamic
   net::metrics::Counter& swaps;          ///< snapshots published
   net::metrics::Gauge& entries;          ///< entry count of the live snapshot
-  net::metrics::Histogram& batch_micros;  ///< wall-clock per harness batch
+  /// Load-generator request latency: scheduled send to answer read.
+  net::metrics::Histogram& batch_micros;
 };
 ServeMetrics& serve_metrics();
 
@@ -90,6 +94,20 @@ class LookupEngine {
   void verdict_batch(std::span<const net::Ipv4Address> queries,
                      std::span<Verdict> out) const;
 
+  /// Hot reload with last-good fallback. `path` is sniffed by magic: a
+  /// SnapshotDelta applies onto the live snapshot (and must be keyed to its
+  /// fingerprint), anything else goes through CompiledSnapshot::load. The
+  /// result is published; on any failure the live snapshot keeps serving,
+  /// only reload_failures() moves, and `error` says why. Reloads serialize
+  /// among themselves and are safe beside any number of queries.
+  bool reload(const std::string& path, std::string* error = nullptr);
+  [[nodiscard]] std::uint64_t reloads() const {
+    return reloads_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t reload_failures() const {
+    return reload_failures_.load(std::memory_order_relaxed);
+  }
+
  private:
   /// Raw pointer the read path loads inside its epoch section; always
   /// either nullptr or owner_.get().
@@ -99,6 +117,11 @@ class LookupEngine {
   /// Owns the artifact live_ points into; swapped only under publish_mutex_
   /// and only released after an epoch synchronize.
   std::shared_ptr<const CompiledSnapshot> owner_;
+  /// Serializes reload(): a delta reads the live snapshot and publishes
+  /// its successor, which must not interleave with another reload.
+  std::mutex reload_mutex_;
+  std::atomic<std::uint64_t> reloads_{0};
+  std::atomic<std::uint64_t> reload_failures_{0};
 };
 
 }  // namespace reuse::serve

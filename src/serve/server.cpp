@@ -128,46 +128,10 @@ int LookupServer::connect_client() {
 }
 
 bool LookupServer::reload(const std::string& path, std::string* error) {
-  const std::lock_guard<std::mutex> lock(reload_mutex_);
-  // Fail closed to the last-good snapshot on any validation failure: the
-  // engine keeps serving what it already has, and only the failure ledger
-  // records the attempt.
-  const auto fail = [&](std::string why) {
-    bump(reload_failures_);
-    lookupd_metrics().reload_failures.increment();
-    if (error != nullptr) *error = std::move(why);
-    return false;
-  };
-
-  // Sniff the artifact kind by magic: an incremental pipeline ships deltas
-  // (serve/snapshot.h SnapshotDelta) keyed to the fingerprint of the
-  // snapshot currently being served; everything else goes through the full
-  // snapshot loader as before.
-  if (file_magic(path) == kSnapshotDeltaMagic) {
-    std::string why;
-    auto delta = SnapshotDelta::load(path, &why);
-    if (!delta) return fail(std::move(why));
-    const std::shared_ptr<const CompiledSnapshot> base = engine_.snapshot();
-    if (base == nullptr) {
-      return fail("delta apply failed: no live snapshot to apply it to");
-    }
-    auto applied = delta->apply(*base, &why);
-    if (!applied) return fail(std::move(why));
-    engine_.publish(
-        std::make_shared<const CompiledSnapshot>(*std::move(applied)));
-    bump(reloads_);
-    lookupd_metrics().reloads.increment();
-    return true;
-  }
-
-  std::string why;
-  auto loaded = CompiledSnapshot::load(path, &why);
-  if (!loaded) return fail(std::move(why));
-  engine_.publish(
-      std::make_shared<const CompiledSnapshot>(*std::move(loaded)));
-  bump(reloads_);
-  lookupd_metrics().reloads.increment();
-  return true;
+  const bool ok = engine_.reload(path, error);
+  (ok ? lookupd_metrics().reloads : lookupd_metrics().reload_failures)
+      .increment();
+  return ok;
 }
 
 ServerStats LookupServer::stats() const {

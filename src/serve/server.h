@@ -25,10 +25,10 @@
 //     outbound buffer exceeds max_outbound_bytes, is evicted; any queued
 //     requests it had are counted as shed (evicted), keeping the ledger
 //     law intact: served + shed + rejected == submitted, always.
-//   * Hot reload with last-good fallback. reload() compiles-in a new
-//     snapshot under full load via LookupEngine::publish; a file that
-//     fails validation/checksum leaves the previous snapshot serving and
-//     only bumps reload_failures.
+//   * Hot reload with last-good fallback. reload() is LookupEngine::reload
+//     on the served engine (a full snapshot or a delta, published under
+//     full load); a file that fails validation/checksum leaves the previous
+//     snapshot serving and only bumps reload_failures.
 //   * Graceful drain. drain() stops reading, serves and flushes whatever
 //     was already accepted, then closes every session and joins workers.
 //
@@ -117,15 +117,14 @@ class LookupServer {
   /// socketpair failure.
   [[nodiscard]] int connect_client();
 
-  /// Loads `path` and publishes it to the engine under full load. On any
-  /// validation failure the last-good snapshot keeps serving and only the
-  /// failure counter moves. Thread-safe.
+  /// LookupEngine::reload on the served engine, counted in the lookupd_
+  /// metrics. On any validation failure the last-good snapshot keeps
+  /// serving and only the failure counter moves. Thread-safe.
   bool reload(const std::string& path, std::string* error = nullptr);
-  [[nodiscard]] std::uint64_t reloads() const {
-    return reloads_.load(std::memory_order_relaxed);
-  }
+  /// The served engine's reload ledger.
+  [[nodiscard]] std::uint64_t reloads() const { return engine_.reloads(); }
   [[nodiscard]] std::uint64_t reload_failures() const {
-    return reload_failures_.load(std::memory_order_relaxed);
+    return engine_.reload_failures();
   }
 
   /// Snapshot of the ledger (counters are atomics; the value is exact once
@@ -157,10 +156,6 @@ class LookupServer {
   std::atomic<bool> draining_{false};
   bool drained_ = false;
   std::mutex drain_mutex_;
-
-  std::mutex reload_mutex_;
-  std::atomic<std::uint64_t> reloads_{0};
-  std::atomic<std::uint64_t> reload_failures_{0};
 
   // Ledger (see ServerStats). Relaxed atomics: order-independent sums.
   std::atomic<std::uint64_t> submitted_valid_{0};

@@ -12,6 +12,7 @@
 #include <system_error>
 #include <unordered_map>
 
+#include "netbase/json.h"
 #include "netbase/serialize.h"
 #include "netbase/thread_pool.h"
 
@@ -117,13 +118,6 @@ void build_bucket_index(const std::vector<std::uint32_t>& addresses,
   return true;
 }
 
-[[nodiscard]] std::string hex16(std::uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
-
 }  // namespace
 
 std::uint64_t file_magic(const std::string& path) {
@@ -189,10 +183,7 @@ void CompiledSnapshot::seal() {
 }
 
 std::string CompiledSnapshot::fingerprint_hex() const {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(fingerprint_));
-  return buffer;
+  return net::hex16(fingerprint_);
 }
 
 bool CompiledSnapshot::save(const std::string& path) const {
@@ -623,8 +614,8 @@ std::optional<CompiledSnapshot> SnapshotDelta::apply(
   };
   if (base.fingerprint_ != base_fingerprint_) {
     return fail("base fingerprint mismatch: delta keyed to " +
-                hex16(base_fingerprint_) + ", live snapshot is " +
-                hex16(base.fingerprint_));
+                net::hex16(base_fingerprint_) + ", live snapshot is " +
+                net::hex16(base.fingerprint_));
   }
 
   CompiledSnapshot next;
@@ -685,8 +676,10 @@ std::optional<CompiledSnapshot> SnapshotDelta::apply(
   if (next.fingerprint_ != target_fingerprint_) {
     // The merge reproduced *something*, but not the snapshot diff() saw —
     // a stale/foreign delta must never be published.
-    return fail("applied result fingerprint " + hex16(next.fingerprint_) +
-                " does not match delta target " + hex16(target_fingerprint_));
+    return fail("applied result fingerprint " +
+                net::hex16(next.fingerprint_) +
+                " does not match delta target " +
+                net::hex16(target_fingerprint_));
   }
   return next;
 }

@@ -48,7 +48,7 @@ class ThreadPool;
 namespace reuse::serve {
 
 /// On-disk magics of the two serve artifacts. Exposed (with file_magic)
-/// so LookupServer::reload can sniff which loader a file belongs to
+/// so LookupEngine::reload can sniff which loader a file belongs to
 /// without attempting both.
 inline constexpr std::uint64_t kCompiledSnapshotMagic =
     0x524555534c4bULL;  // "REUSLK"
@@ -155,7 +155,7 @@ class CompiledSnapshot {
       const std::string& path, std::string* error);
 
   /// All entry addresses whose verdict satisfies `mask` (every bit of
-  /// `mask` set). Used by the workload generator to sample listed/reused
+  /// `mask` set). Used by the load generator to sample listed/reused
   /// query targets; not a hot path.
   [[nodiscard]] std::vector<net::Ipv4Address> entries_matching(
       std::uint32_t mask) const;
@@ -192,7 +192,7 @@ class CompiledSnapshot {
 /// On-disk framing follows the snapshot discipline (own magic, version,
 /// bounded counts, FNV-1a payload checksum); CompiledSnapshot::load and
 /// SnapshotDelta::load each reject the other's files on magic alone, which
-/// is what lets LookupServer::reload sniff the file kind.
+/// is what lets LookupEngine::reload sniff the file kind.
 class SnapshotDelta {
  public:
   /// Fingerprint of the snapshot this delta applies on top of.

@@ -12,6 +12,7 @@
 #include "analysis/greylist.h"
 #include "analysis/impact.h"
 #include "analysis/manifest.h"
+#include "netbase/json.h"
 #include "netbase/metrics.h"
 #include "netbase/serialize.h"
 #include "netbase/stats.h"
@@ -91,39 +92,10 @@ std::string cell_cache_path(const std::string& dir,
   return (std::filesystem::path(dir) / name).string();
 }
 
-std::string hex16(std::uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
-
 std::string format3(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.3f", value);
   return buffer;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 const char* path_name(CellPath path) {
@@ -529,7 +501,7 @@ std::string render_report_markdown(const SweepReport& report) {
           ? nullptr
           : &report.cells.front();
   for (const CellResult& cell : report.cells) {
-    out << "| " << cell.id << " | `" << hex16(cell.config_fingerprint)
+    out << "| " << cell.id << " | `" << net::hex16(cell.config_fingerprint)
         << "` | ";
     if (cell.failed) {
       out << "— | — | — | — | — | — | — | — | failed: "
@@ -555,7 +527,7 @@ std::string render_report_markdown(const SweepReport& report) {
 std::string render_report_json(const SweepReport& report) {
   std::ostringstream out;
   out << "{\n  \"schema_version\": 1,\n";
-  out << "  \"report_fingerprint\": \"" << hex16(report.report_fingerprint)
+  out << "  \"report_fingerprint\": \"" << net::hex16(report.report_fingerprint)
       << "\",\n";
   out << "  \"cells_total\": " << report.cells.size() << ",\n";
   out << "  \"cells_failed\": " << report.cells_failed << ",\n";
@@ -568,17 +540,19 @@ std::string render_report_json(const SweepReport& report) {
   out << "  \"cells\": [\n";
   for (std::size_t i = 0; i < report.cells.size(); ++i) {
     const CellResult& cell = report.cells[i];
-    out << "    {\"id\": \"" << json_escape(cell.id) << "\", \"preset\": \""
-        << json_escape(cell.preset) << "\", \"axes\": {";
+    out << "    {\"id\": \"" << net::json_escape(cell.id)
+        << "\", \"preset\": \"" << net::json_escape(cell.preset)
+        << "\", \"axes\": {";
     for (std::size_t a = 0; a < cell.axis_values.size(); ++a) {
       out << (a == 0 ? "" : ", ") << "\""
-          << json_escape(cell.axis_values[a].first) << "\": \""
-          << json_escape(cell.axis_values[a].second) << "\"";
+          << net::json_escape(cell.axis_values[a].first) << "\": \""
+          << net::json_escape(cell.axis_values[a].second) << "\"";
     }
-    out << "}, \"config_fingerprint\": \"" << hex16(cell.config_fingerprint)
+    out << "}, \"config_fingerprint\": \""
+        << net::hex16(cell.config_fingerprint)
         << "\", \"failed\": " << (cell.failed ? "true" : "false");
     if (cell.failed) {
-      out << ", \"error\": \"" << json_escape(cell.error) << "\"";
+      out << ", \"error\": \"" << net::json_escape(cell.error) << "\"";
     } else {
       out << ", \"blocklisted_addresses\": " << cell.blocklisted_addresses
           << ", \"reused_addresses\": " << cell.reused_addresses

@@ -73,14 +73,16 @@ TEST(DhtPeer, OnlinePatternRepeatsDaily) {
 }
 
 TEST(DhtPeer, RebootRegeneratesNodeIdAndCountsIds) {
-  DhtPeer peer(1, 7, ep(1, 1000), always_on());
-  std::unordered_set<NodeId> ids{peer.id()};
-  EXPECT_EQ(peer.ids_used(), 1u);
+  // DhtNetwork::reboot_peer draws a nonce and takes reboot_id(nonce) as the
+  // peer's new node_id: every nonce must give a fresh id.
+  const DhtPeer peer(1, 7, ep(1, 1000), always_on());
+  std::unordered_set<NodeId> ids;
   for (std::uint64_t nonce = 1; nonce <= 20; ++nonce) {
-    peer.reboot(nonce);
-    EXPECT_TRUE(ids.insert(peer.id()).second) << "node_id reused after reboot";
+    const NodeId id = peer.reboot_id(nonce);
+    EXPECT_NE(id, peer.id()) << "nonce " << nonce << " gave the boot id";
+    EXPECT_TRUE(ids.insert(id).second) << "nonce " << nonce << " reused an id";
   }
-  EXPECT_EQ(peer.ids_used(), 21u);
+  EXPECT_EQ(ids.size(), 20u);
 }
 
 TEST(DhtPeer, GetNodesReturnsUpToEightClosest) {
@@ -95,14 +97,6 @@ TEST(DhtPeer, GetNodesReturnsUpToEightClosest) {
       peer.handle(GetNodesRequest{NodeId{}}, net::SimTime(0));
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->neighbors.size(), kNeighborsPerReply);
-}
-
-TEST(DhtPeer, SetEndpointOnlyChangesEndpoint) {
-  DhtPeer peer(1, 7, ep(1, 1000), always_on());
-  const NodeId before = peer.id();
-  peer.set_endpoint(ep(1, 2000));
-  EXPECT_EQ(peer.endpoint(), ep(1, 2000));
-  EXPECT_EQ(peer.id(), before);
 }
 
 TEST(DhtPeer, VersionIsARealClientTag) {

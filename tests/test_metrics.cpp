@@ -1,5 +1,6 @@
 // Unit tests for the metrics registry (netbase/metrics), the shared JSON
-// escape helper, the StageTimer telemetry fixes, and the run manifest.
+// escape and fingerprint helpers, the StageTimer telemetry fixes, and the
+// run manifest.
 //
 // The registry under test here is mostly a process-local instance so the
 // cases stay independent of what other code registered in the global
@@ -33,6 +34,13 @@ TEST(JsonEscape, EscapesQuotesBackslashesAndControlCharacters) {
   EXPECT_EQ(net::json_escape("\x01"), "\\u0001");
   // Bytes >= 0x20 pass through untouched, so UTF-8 survives.
   EXPECT_EQ(net::json_escape("caf\xc3\xa9"), "caf\xc3\xa9");
+}
+
+TEST(JsonHex16, ZeroPadsToSixteenLowerCaseDigits) {
+  EXPECT_EQ(net::hex16(0), "0000000000000000");
+  EXPECT_EQ(net::hex16(0xabcULL), "0000000000000abc");
+  EXPECT_EQ(net::hex16(0x2e94cdb49f4b7137ULL), "2e94cdb49f4b7137");
+  EXPECT_EQ(net::hex16(~0ULL), "ffffffffffffffff");
 }
 
 TEST(Metrics, CounterAccumulates) {

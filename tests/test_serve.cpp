@@ -1,18 +1,22 @@
 // The compiled serving snapshot: build semantics, byte determinism,
-// round-trip framing, and hostile-file rejection.
+// round-trip framing, and hostile-file rejection; and the load generator
+// over the in-process engine and a test transport.
 #include "serve/snapshot.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "netbase/thread_pool.h"
+#include "serve/client.h"
 #include "serve/lookup.h"
-#include "serve/workload.h"
 
 namespace reuse::serve {
 namespace {
@@ -352,50 +356,181 @@ TEST(ServeWorkload, TalliesAreDeterministicAcrossThreadCounts) {
   LookupEngine engine;
   engine.publish(snapshot);
 
-  WorkloadConfig config;
+  LoadConfig config;
   config.seed = 42;
-  config.query_count = 20'000;
+  config.queries = 20'000;
   config.batch_size = 32;
 
-  config.threads = 1;
-  const WorkloadReport serial = run_workload(engine, *snapshot, config);
-  config.threads = 4;
-  const WorkloadReport parallel = run_workload(engine, *snapshot, config);
-
-  EXPECT_EQ(serial.queries, 20'000u);
-  EXPECT_GT(serial.listed_hits, 0u);
-  EXPECT_GT(serial.reused_hits, 0u);
-  // The query stream is a pure function of (seed, batch index), so the
-  // verdict tallies cannot depend on how batches landed on threads.
-  EXPECT_EQ(serial.listed_hits, parallel.listed_hits);
-  EXPECT_EQ(serial.reused_hits, parallel.reused_hits);
-  EXPECT_FALSE(serial.swapped);
-  EXPECT_GT(serial.throughput_qps, 0.0);
-  EXPECT_GE(serial.p99_nanos, serial.p50_nanos);
-  EXPECT_GE(serial.max_nanos, serial.p99_nanos);
+  std::vector<LoadReport> reports;
+  for (const int clients : {1, 2, 4}) {
+    config.clients = clients;
+    reports.push_back(run_load(engine, *snapshot, config));
+  }
+  const LoadReport& serial = reports.front();
+  EXPECT_EQ(serial.submitted, 625u);  // 20'000 queries in batches of 32
+  EXPECT_GT(serial.listed_words, 0u);
+  EXPECT_GT(serial.reused_words, 0u);
+  for (const LoadReport& report : reports) {
+    EXPECT_EQ(report.submitted, serial.submitted);
+    EXPECT_EQ(report.ok, report.submitted);
+    EXPECT_EQ(report.shed, 0u);
+    // Batch k's content is a pure function of (seed, k), so the verdict
+    // tallies cannot depend on how batches landed on client threads.
+    EXPECT_EQ(report.listed_words, serial.listed_words);
+    EXPECT_EQ(report.reused_words, serial.reused_words);
+    EXPECT_GT(report.throughput_qps, 0.0);
+    EXPECT_GE(report.p99_nanos, report.p50_nanos);
+    EXPECT_GE(report.max_nanos, report.p99_nanos);
+    for (const std::uint64_t nanos : report.latency_nanos) {
+      EXPECT_NE(nanos, LoadReport::kUnanswered);
+    }
+  }
 }
 
 TEST(ServeWorkload, MidRunSwapToEquivalentSnapshotKeepsTallies) {
   const Fixture fx;
   auto snapshot = std::make_shared<const CompiledSnapshot>(fx.build());
+  const std::string good_path = "test_serve_reload_good.bin";
+  const std::string corrupt_path = "test_serve_reload_corrupt.bin";
+  const std::string delta_path = "test_serve_reload_delta.bin";
+  ASSERT_TRUE(snapshot->save(good_path));
+  const std::string bytes = file_bytes(good_path);
+  std::ofstream(corrupt_path, std::ios::binary)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
+  ASSERT_TRUE(SnapshotBuilder::diff(*snapshot, *snapshot).save(delta_path));
+
   LookupEngine engine;
   engine.publish(snapshot);
-
-  WorkloadConfig config;
+  LoadConfig config;
   config.seed = 42;
-  config.query_count = 20'000;
+  config.clients = 2;
+  config.queries = 20'000;
   config.batch_size = 32;
-  config.threads = 2;
-  const WorkloadReport baseline = run_workload(engine, *snapshot, config);
+  const LoadReport baseline = run_load(engine, *snapshot, config);
 
-  engine.publish(snapshot);
-  config.swap_to = std::make_shared<const CompiledSnapshot>(fx.build());
-  const WorkloadReport swapped = run_workload(engine, *snapshot, config);
-  EXPECT_TRUE(swapped.swapped);
-  // The swapped-in snapshot answers identically, so the deterministic
-  // tallies survive a reload under traffic.
-  EXPECT_EQ(swapped.listed_hits, baseline.listed_hits);
-  EXPECT_EQ(swapped.reused_hits, baseline.reused_hits);
+  // The reload sequence reuse_lookupd runs: a truncated copy (rejected,
+  // last-good keeps serving), the artifact, then an identity delta. The
+  // paced run lasts ~60 ms, so the reloads land among live queries.
+  config.target_qps = 20'000 / 0.06;
+  std::thread reloader([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::string error;
+    EXPECT_FALSE(engine.reload(corrupt_path, &error));
+    EXPECT_TRUE(engine.reload(good_path, &error)) << error;
+    EXPECT_TRUE(engine.reload(delta_path, &error)) << error;
+  });
+  const LoadReport reloaded = run_load(engine, *snapshot, config);
+  reloader.join();
+
+  EXPECT_EQ(engine.reload_failures(), 1u);
+  EXPECT_EQ(engine.reloads(), 2u);
+  EXPECT_EQ(engine.snapshot()->fingerprint(), snapshot->fingerprint());
+  // Every reloaded snapshot answers identically, so the deterministic
+  // tallies survive reloads under traffic.
+  EXPECT_EQ(reloaded.ok, baseline.ok);
+  EXPECT_EQ(reloaded.listed_words, baseline.listed_words);
+  EXPECT_EQ(reloaded.reused_words, baseline.reused_words);
+  for (const std::string& path : {good_path, corrupt_path, delta_path}) {
+    std::remove(path.c_str());
+  }
+}
+
+/// A transport double: answers in send order, each as soon as it is sent,
+/// except request `held`, whose answer — and so every answer behind it —
+/// is held back for `hold`.
+class StallingSession final : public LoadSession {
+ public:
+  StallingSession(std::uint64_t held, Clock::duration hold,
+                  Clock::time_point& first_send, Clock::time_point& stall_end)
+      : held_(held), hold_(hold), first_send_(first_send),
+        stall_end_(stall_end) {}
+
+  bool send_batch(std::uint64_t request_id,
+                  std::span<const std::uint32_t> addresses) override {
+    const Clock::time_point now = Clock::now();
+    if (request_id == 0) first_send_ = now;
+    Clock::time_point ready = now;
+    if (request_id == held_) ready = stall_end_ = now + hold_;
+    pending_.push_back({request_id, addresses.size(), ready});
+    return true;
+  }
+
+  std::optional<ResponseFrame> read_response(
+      Clock::time_point deadline) override {
+    if (pending_.empty() || pending_.front().ready > deadline) {
+      if (pending_.empty() && deadline == Clock::time_point::max()) {
+        return std::nullopt;
+      }
+      std::this_thread::sleep_until(deadline);
+      return std::nullopt;
+    }
+    const Pending next = pending_.front();
+    pending_.pop_front();
+    std::this_thread::sleep_until(next.ready);
+    ResponseFrame answer;
+    answer.request_id = next.id;
+    answer.verdicts.assign(next.count, 0);
+    return answer;
+  }
+
+  void shutdown_write() override {}
+
+ private:
+  struct Pending {
+    std::uint64_t id;
+    std::size_t count;
+    Clock::time_point ready;
+  };
+  const std::uint64_t held_;
+  const Clock::duration hold_;
+  Clock::time_point& first_send_;
+  Clock::time_point& stall_end_;
+  std::deque<Pending> pending_;
+};
+
+TEST(ServeWorkload, LatencyIsTimedFromTheScheduledSend) {
+  using namespace std::chrono_literals;
+  const Fixture fx;
+  const CompiledSnapshot snapshot = fx.build();
+  LoadConfig config;
+  config.clients = 1;
+  config.batch_size = 1;
+  config.queries = 120;
+  config.target_qps = 1000.0;  // one request per millisecond
+  config.max_in_flight = 4;
+  constexpr std::uint64_t kHeld = 10;
+
+  LoadSession::Clock::time_point first_send;
+  LoadSession::Clock::time_point stall_end;
+  const LoadReport report = run_load(
+      [&] {
+        return std::make_unique<StallingSession>(kHeld, 50ms, first_send,
+                                                 stall_end);
+      },
+      snapshot, config);
+  ASSERT_EQ(report.submitted, 120u);
+  ASSERT_EQ(report.ok, 120u);
+
+  const auto nanos = [](LoadSession::Clock::duration d) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+  };
+  EXPECT_GE(report.latency_nanos[kHeld], nanos(50ms));
+  // Request k was scheduled at start + k ms, and start was no later than
+  // request 0's send. Every request scheduled inside the stall waited for
+  // its end, whenever the full window let it go out; a send-time stamp
+  // would charge these requests almost nothing.
+  const std::uint64_t tolerance = nanos(2ms);
+  int inside = 0;
+  for (std::uint64_t id = kHeld + 1; id < config.queries; ++id) {
+    const auto scheduled_by = first_send + id * 1ms;
+    if (scheduled_by >= stall_end) break;
+    ++inside;
+    EXPECT_GE(report.latency_nanos[id] + tolerance,
+              nanos(stall_end - scheduled_by))
+        << "request " << id;
+  }
+  EXPECT_GE(inside, 40);
 }
 
 }  // namespace

@@ -461,12 +461,26 @@ TEST_F(ServerTest, ServedTalliesAreByteIdenticalAcrossWorkerCounts) {
   LoadConfig load;
   load.seed = 99;
   load.clients = 4;
-  load.batches_per_client = 64;
+  load.queries = 256 * 32;
   load.batch_size = 32;
   load.max_in_flight = 1;  // closed loop: nothing can shed, tallies exact
 
-  std::uint64_t expected_listed = 0, expected_reused = 0;
-  bool first = true;
+  // The in-process engine sends the same batches at any client count: its
+  // tallies are what every socket run must reproduce.
+  LookupEngine reference;
+  reference.publish(snapshot_);
+  LoadConfig in_process = load;
+  in_process.clients = 1;
+  const LoadReport expected = run_load(reference, *snapshot_, in_process);
+  EXPECT_GT(expected.listed_words, 0u);
+  EXPECT_GT(expected.reused_words, 0u);
+  for (const int clients : {2, 4}) {
+    in_process.clients = clients;
+    const LoadReport report = run_load(reference, *snapshot_, in_process);
+    EXPECT_EQ(report.listed_words, expected.listed_words) << clients;
+    EXPECT_EQ(report.reused_words, expected.reused_words) << clients;
+  }
+
   for (const int workers : {1, 2, 4}) {
     LookupEngine engine;
     engine.publish(snapshot_);
@@ -476,28 +490,19 @@ TEST_F(ServerTest, ServedTalliesAreByteIdenticalAcrossWorkerCounts) {
     const ServerStats stats = server.stats();
 
     EXPECT_EQ(report.shed, 0u) << workers << " workers";
-    EXPECT_EQ(report.submitted,
-              static_cast<std::uint64_t>(load.clients) *
-                  load.batches_per_client)
-        << workers << " workers";
+    EXPECT_EQ(report.submitted, 256u) << workers << " workers";
     EXPECT_EQ(report.ok, report.submitted) << workers << " workers";
     EXPECT_TRUE(stats.reconciles());
+    EXPECT_EQ(stats.served, report.submitted);
     EXPECT_EQ(stats.served_listed, report.listed_words);
     EXPECT_EQ(stats.served_reused, report.reused_words);
-    if (first) {
-      expected_listed = stats.served_listed;
-      expected_reused = stats.served_reused;
-      EXPECT_GT(expected_listed, 0u);
-      EXPECT_GT(expected_reused, 0u);
-      first = false;
-    } else {
-      // The deterministic fault-free workload must tally identically no
-      // matter how sessions shard across workers.
-      EXPECT_EQ(stats.served_listed, expected_listed)
-          << workers << " workers";
-      EXPECT_EQ(stats.served_reused, expected_reused)
-          << workers << " workers";
-    }
+    // The deterministic fault-free workload must tally identically no
+    // matter how sessions shard across workers, or which transport
+    // answered it.
+    EXPECT_EQ(stats.served_listed, expected.listed_words)
+        << workers << " workers";
+    EXPECT_EQ(stats.served_reused, expected.reused_words)
+        << workers << " workers";
   }
 }
 

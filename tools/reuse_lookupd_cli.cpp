@@ -4,35 +4,38 @@
 // Default flow: run the scenario (cache-aware, --jobs-aware), compile its
 // blocklist/NAT/dynamic products into the binary snapshot artifact, save
 // it under --out-dir, reload it from disk (proving the round-trip), then
-// replay a deterministic synthetic query workload against the lookup
-// engine and write BENCH_lookup.json with throughput and p50/p99 latency.
+// drive it with the seeded load generator (serve/client.h) and write a
+// bench JSON with throughput and latency percentiles.
 //
 //   reuse_lookupd [--seed N] [--ases N] [--crawl-days N] [--probes N]
 //                 [--jobs N] [--cache [--cache-file PATH]] [--out-dir DIR]
 //                 [--snapshot-out PATH] [--snapshot-in PATH]
-//                 [--queries N] [--batch N] [--threads N] [--qps N]
-//                 [--workload-seed N] [--swap-mid-run] [--bench-out PATH]
+//                 [--queries N] [--batch N] [--clients N] [--qps N]
+//                 [--workload-seed N] [--bench-out PATH]
 //                 [--query IP] [--metrics-out FILE]
 //                 [--metrics-format {json,prometheus}]
-//                 [--serve] [--clients N] [--deadline-ms N]
+//                 [--serve] [--threads N] [--deadline-ms N]
 //                 [--queue-depth N] [--chaos-clients N]
 //
 // --snapshot-in skips the simulation and serves an existing artifact;
-// --query answers one address and exits instead of replaying a workload.
+// --query answers one address and exits instead of running the load.
 //
-// --serve runs the concurrent front end instead of the in-process replay:
-// the snapshot is served through LookupServer (sharded workers, bounded
-// queues, explicit SHED backpressure), an open-loop multi-client load
-// generator drives it, an optional chaos-client plan injects protocol
-// faults alongside, and a mid-run reload sequence proves last-good
-// fallback (one deliberately corrupted artifact, then a good one). The
-// run writes BENCH_lookupd.json and exits 1 unless the server ledger
+// The load runs --clients client threads in process against the lookup
+// engine (BENCH_lookup.json), or with --serve through the concurrent front
+// end: LookupServer with --threads workers, bounded queues and explicit
+// SHED backpressure, plus an optional chaos-client plan injecting protocol
+// faults alongside (BENCH_lookupd.json). Both modes send the same batches
+// and write the same JSON schema, so the socket's cost is one subtraction.
+// Latency is timed from each request's scheduled send (--qps paces it).
+// Every run also reloads as its traffic starts — a deliberately truncated
+// copy of the artifact (must fail, last-good keeps serving), the artifact
+// itself, then an identity snapshot delta — and exits 1 unless the ledger
 // reconciles exactly: served + shed + rejected == submitted.
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -40,22 +43,11 @@
 #include "analysis/manifest.h"
 #include "analysis/scenario.h"
 #include "netbase/flags.h"
+#include "netbase/json.h"
 #include "serve/client.h"
 #include "serve/lookup.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
-#include "serve/workload.h"
-
-namespace {
-
-std::string hex64(std::uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace reuse;
@@ -78,28 +70,28 @@ int main(int argc, char** argv) {
                "explicit artifact path (default <out-dir>/reuse_snapshot.bin)");
   flags.define("snapshot-in",
                "serve an existing artifact instead of simulating");
-  flags.define("queries", "total queries to replay", "1000000");
+  flags.define("queries",
+               "total queries to send, in whole batches across all clients",
+               "1000000");
   flags.define("batch", "addresses per query batch", "64");
   flags.define("threads",
-               "query threads for the replay (0 = all hardware threads)",
+               "server worker threads for --serve (0 = all hardware threads)",
                "1");
   flags.define("qps",
-               "offered load in queries/second across all threads "
-               "(0 = unthrottled)",
+               "offered load in queries/second across all clients; each "
+               "client sends its batches on a fixed schedule and latency is "
+               "timed from the scheduled send (0 = unpaced)",
                "0");
   flags.define("workload-seed", "seed for the synthetic query mix", "1");
-  flags.define_bool("swap-mid-run",
-                    "reload the artifact and atomically swap it in once "
-                    "half the batches have completed");
-  flags.define("bench-out", "benchmark JSON output path", "BENCH_lookup.json");
+  flags.define("bench-out",
+               "benchmark JSON output path (default BENCH_lookup.json, "
+               "BENCH_lookupd.json with --serve)");
   flags.define("query", "answer one dotted-quad address and exit");
   flags.define_bool("serve",
-                    "serve the snapshot through the concurrent front end "
+                    "drive the snapshot through the concurrent front end "
                     "(sharded workers, bounded queues, SHED backpressure) "
-                    "under a multi-client load generator; writes "
-                    "BENCH_lookupd.json");
-  flags.define("clients", "concurrent load-generator clients for --serve",
-               "8");
+                    "instead of the in-process engine");
+  flags.define("clients", "concurrent load-generator client threads", "8");
   flags.define("deadline-ms",
                "queued requests older than this are shed (--serve)", "1000");
   flags.define("queue-depth",
@@ -156,16 +148,22 @@ int main(int argc, char** argv) {
     }
     return value;
   };
-  const auto serve_clients = bounded_flag("clients", 1, 4096);
-  if (!serve_clients) return 2;
+  const auto clients = bounded_flag("clients", 1, 4096);
+  if (!clients) return 2;
   const auto deadline_ms = bounded_flag("deadline-ms", 1, 3'600'000);
   if (!deadline_ms) return 2;
   const auto queue_depth = bounded_flag("queue-depth", 1, 1 << 20);
   if (!queue_depth) return 2;
   const auto chaos_clients = bounded_flag("chaos-clients", 0, 4096);
   if (!chaos_clients) return 2;
-  if (flags.get_bool("serve") && flags.has("query")) {
+  const bool serve_mode = flags.get_bool("serve");
+  if (serve_mode && flags.has("query")) {
     std::cerr << "error: --serve and --query are mutually exclusive\n";
+    return 2;
+  }
+  if (!serve_mode && *chaos_clients > 0) {
+    std::cerr << "error: --chaos-clients needs --serve (chaos clients speak "
+                 "the wire protocol)\n";
     return 2;
   }
   // Validate the query address before any simulation or artifact load:
@@ -275,7 +273,29 @@ int main(int argc, char** argv) {
   serve::LookupEngine engine;
   engine.publish(snapshot);
 
-  if (flags.get_bool("serve")) {
+  if (flags.has("query")) {
+    const net::Ipv4Address& address = *query_address;
+    const serve::Verdict verdict = engine.verdict(address);
+    std::cout << address.to_string() << ": listed="
+              << (verdict.listed() ? "yes" : "no")
+              << " nated=" << (verdict.nated() ? "yes" : "no")
+              << " dynamic_slash24=" << (verdict.dynamic() ? "yes" : "no")
+              << " advice="
+              << (verdict.greylist()
+                      ? "greylist"
+                      : (verdict.listed() ? "block" : "allow"))
+              << '\n';
+  } else {
+    serve::LoadConfig load_config;
+    load_config.seed = static_cast<std::uint64_t>(
+        flags.get_int("workload-seed").value_or(1));
+    load_config.clients = static_cast<int>(*clients);
+    load_config.queries =
+        static_cast<std::uint64_t>(flags.get_int("queries").value_or(1000000));
+    load_config.batch_size =
+        static_cast<std::size_t>(flags.get_int("batch").value_or(64));
+    load_config.target_qps = flags.get_double("qps").value_or(0.0);
+
     serve::ServerConfig server_config;
     server_config.workers =
         *threads == 0 ? static_cast<int>(net::ThreadPool::hardware_jobs())
@@ -283,27 +303,15 @@ int main(int argc, char** argv) {
     server_config.max_queue = static_cast<std::size_t>(*queue_depth);
     server_config.deadline_ms = static_cast<int>(*deadline_ms);
     server_config.stall_timeout_ms = 250;  // bounds the chaos stall clients
-    serve::LookupServer server(engine, server_config);
+    std::optional<serve::LookupServer> server;
+    if (serve_mode) server.emplace(engine, server_config);
 
-    serve::LoadConfig load_config;
-    load_config.seed = static_cast<std::uint64_t>(
-        flags.get_int("workload-seed").value_or(1));
-    load_config.clients = static_cast<int>(*serve_clients);
-    load_config.batch_size =
-        static_cast<std::size_t>(flags.get_int("batch").value_or(64));
-    const auto queries = static_cast<std::uint64_t>(
-        flags.get_int("queries").value_or(1000000));
-    load_config.batches_per_client = std::max<std::uint64_t>(
-        1, queries / (static_cast<std::uint64_t>(load_config.clients) *
-                      load_config.batch_size));
-    load_config.target_qps = flags.get_double("qps").value_or(0.0);
-
-    // Mid-run reload sequence: one deliberately corrupted copy first (the
-    // failure must leave the last-good snapshot serving), then the real
-    // artifact, then a snapshot *delta* applied onto the live snapshot.
-    // The delta is an identity diff — same verdicts, so the deterministic
-    // workload is undisturbed — but the apply path (fingerprint gate,
-    // merge, re-seal, epoch publish) runs for real under live queries.
+    // Reload beside the traffic, starting with it: a deliberately corrupted
+    // copy first (the failure must leave the last-good snapshot serving),
+    // then the real artifact, then a snapshot *delta* applied onto the live
+    // snapshot. The delta is an identity diff — same verdicts, so the
+    // deterministic tallies are undisturbed — but the apply path
+    // (fingerprint gate, merge, re-seal, epoch publish) runs for real.
     const std::string corrupt_path = snapshot_path + ".corrupt";
     const std::string delta_path = snapshot_path + ".delta";
     {
@@ -321,29 +329,36 @@ int main(int argc, char** argv) {
     std::uint64_t reload_attempts_failed = 0;
     bool delta_applied = false;
     std::thread reloader([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const auto reload = [&](const std::string& path, std::string* why) {
+        return server ? server->reload(path, why) : engine.reload(path, why);
+      };
       std::string why;
-      if (!server.reload(corrupt_path, &why)) {
+      if (!reload(corrupt_path, &why)) {
         ++reload_attempts_failed;
         std::cerr << "reload of corrupted copy rejected (last-good kept): "
                   << why << '\n';
       }
-      if (!server.reload(snapshot_path, &why)) {
+      if (!reload(snapshot_path, &why)) {
         std::cerr << "error: reload of good artifact failed: " << why << '\n';
       }
       if (delta_saved) {
-        delta_applied = server.reload(delta_path, &why);
+        delta_applied = reload(delta_path, &why);
         if (!delta_applied) {
           std::cerr << "error: delta reload failed: " << why << '\n';
         }
       }
     });
 
-    std::cerr << "serving: " << load_config.clients << " clients, "
-              << server_config.workers << " workers, queue depth "
-              << server_config.max_queue << ", deadline "
-              << server_config.deadline_ms << " ms, "
-              << *chaos_clients << " chaos clients...\n";
+    std::cerr << (server ? "serving: " : "driving the engine in process: ")
+              << load_config.clients << " clients, " << load_config.queries
+              << " queries in batches of " << load_config.batch_size;
+    if (server) {
+      std::cerr << ", " << server_config.workers << " workers, queue depth "
+                << server_config.max_queue << ", deadline "
+                << server_config.deadline_ms << " ms, " << *chaos_clients
+                << " chaos clients";
+    }
+    std::cerr << "...\n";
     serve::ChaosLedger chaos;
     std::thread chaos_thread;
     if (*chaos_clients > 0) {
@@ -351,18 +366,30 @@ int main(int argc, char** argv) {
         serve::ChaosConfig chaos_config;
         chaos_config.seed = load_config.seed;
         chaos_config.clients = static_cast<int>(*chaos_clients);
-        chaos = serve::run_chaos_clients(server, *snapshot, chaos_config);
+        chaos = serve::run_chaos_clients(*server, *snapshot, chaos_config);
       });
     }
     const serve::LoadReport load =
-        serve::run_load(server, *snapshot, load_config);
+        server ? serve::run_load(*server, *snapshot, load_config)
+               : serve::run_load(engine, *snapshot, load_config);
     if (chaos_thread.joinable()) chaos_thread.join();
     reloader.join();
-    server.drain();
     std::error_code cleanup_ec;
     std::filesystem::remove(corrupt_path, cleanup_ec);
+    std::filesystem::remove(delta_path, cleanup_ec);
 
-    const serve::ServerStats stats = server.stats();
+    // In process, the load generator's own tallies are the whole ledger.
+    serve::ServerStats stats;
+    if (server) {
+      server->drain();
+      stats = server->stats();
+    } else {
+      stats.submitted_valid = load.submitted;
+      stats.served = load.ok;
+      stats.shed_overload = load.shed;
+      stats.served_listed = load.listed_words;
+      stats.served_reused = load.reused_words;
+    }
     // The no-silent-drops law, cross-checked server- and client-side:
     // every frame the clients put on the wire is served, shed, or
     // rejected, and the chaos injection ledger matches the rejection
@@ -374,8 +401,8 @@ int main(int argc, char** argv) {
     reconciled &= stats.rejected_garbage == chaos.garbage_sent;
     reconciled &= stats.rejected_oversized == chaos.oversized_sent;
     reconciled &= stats.clients_evicted == chaos.stalls;
-    reconciled &= server.reloads() >= 1;
-    reconciled &= server.reload_failures() == reload_attempts_failed &&
+    reconciled &= engine.reloads() >= 1;
+    reconciled &= engine.reload_failures() == reload_attempts_failed &&
                   reload_attempts_failed == 1;
     reconciled &= delta_applied;
 
@@ -383,15 +410,24 @@ int main(int argc, char** argv) {
     json.precision(3);
     json << std::fixed;
     json << "{\n"
+         << "  \"transport\": \"" << (server ? "socket" : "engine") << "\",\n"
          << "  \"workload_seed\": " << load_config.seed << ",\n"
          << "  \"clients\": " << load_config.clients << ",\n"
-         << "  \"chaos_clients\": " << *chaos_clients << ",\n"
-         << "  \"workers\": " << server_config.workers << ",\n"
-         << "  \"queue_depth\": " << server_config.max_queue << ",\n"
-         << "  \"deadline_ms\": " << server_config.deadline_ms << ",\n"
          << "  \"batch\": " << load_config.batch_size << ",\n"
-         << "  \"batches_per_client\": " << load_config.batches_per_client
+         << "  \"queries\": " << load.submitted * load_config.batch_size
          << ",\n"
+         << "  \"target_qps\": " << load_config.target_qps << ",\n"
+         << "  \"max_in_flight\": " << load_config.max_in_flight << ",\n"
+         << "  \"server\": ";
+    if (server) {
+      json << "{\"workers\": " << server_config.workers
+           << ", \"queue_depth\": " << server_config.max_queue
+           << ", \"deadline_ms\": " << server_config.deadline_ms
+           << ", \"chaos_clients\": " << *chaos_clients << "}";
+    } else {
+      json << "null";
+    }
+    json << ",\n"
          << "  \"submitted\": " << stats.submitted_total() << ",\n"
          << "  \"served\": " << stats.served << ",\n"
          << "  \"shed\": " << stats.shed_total() << ",\n"
@@ -399,8 +435,8 @@ int main(int argc, char** argv) {
          << "  \"evicted\": " << stats.clients_evicted << ",\n"
          << "  \"served_listed\": " << stats.served_listed << ",\n"
          << "  \"served_reused\": " << stats.served_reused << ",\n"
-         << "  \"reloads\": " << server.reloads() << ",\n"
-         << "  \"reload_failures\": " << server.reload_failures() << ",\n"
+         << "  \"reloads\": " << engine.reloads() << ",\n"
+         << "  \"reload_failures\": " << engine.reload_failures() << ",\n"
          << "  \"delta_applied\": " << (delta_applied ? "true" : "false")
          << ",\n"
          << "  \"wall_seconds\": " << load.wall_seconds << ",\n"
@@ -409,13 +445,23 @@ int main(int argc, char** argv) {
          << "  \"p99_nanos\": " << load.p99_nanos << ",\n"
          << "  \"p999_nanos\": " << load.p999_nanos << ",\n"
          << "  \"max_nanos\": " << load.max_nanos << ",\n"
-         << "  \"snapshot_fingerprint\": \"" << snapshot->fingerprint_hex()
+         << "  \"snapshot\": {\n"
+         << "    \"entries\": " << snapshot->entry_count() << ",\n"
+         << "    \"buckets\": " << snapshot->bucket_count() << ",\n"
+         << "    \"dynamic24\": " << snapshot->dynamic24_count() << ",\n"
+         << "    \"top_lists\": " << snapshot->top_lists().size() << ",\n"
+         << "    \"fingerprint\": \"" << snapshot->fingerprint_hex()
          << "\",\n"
+         << "    \"source_fingerprint\": \""
+         << net::hex16(snapshot->source_fingerprint()) << "\"\n"
+         << "  },\n"
          << "  \"reconciled\": " << (reconciled ? "true" : "false") << "\n"
          << "}\n";
 
     const std::string bench_path =
-        flags.has("bench-out") ? flags.get("bench-out") : "BENCH_lookupd.json";
+        flags.has("bench-out")
+            ? flags.get("bench-out")
+            : (server ? "BENCH_lookupd.json" : "BENCH_lookup.json");
     std::ofstream bench(bench_path);
     if (!bench) {
       std::cerr << "error: cannot write " << bench_path << '\n';
@@ -430,98 +476,9 @@ int main(int argc, char** argv) {
     }
     std::cerr << "wrote " << bench_path << " ("
               << static_cast<std::uint64_t>(load.throughput_qps)
-              << " frames/s, p99 " << load.p99_nanos << " ns, "
-              << stats.shed_total() << " shed, " << stats.rejected_total()
-              << " rejected)\n";
-  } else if (flags.has("query")) {
-    const net::Ipv4Address& address = *query_address;
-    const serve::Verdict verdict = engine.verdict(address);
-    std::cout << address.to_string() << ": listed="
-              << (verdict.listed() ? "yes" : "no")
-              << " nated=" << (verdict.nated() ? "yes" : "no")
-              << " dynamic_slash24=" << (verdict.dynamic() ? "yes" : "no")
-              << " advice="
-              << (verdict.greylist()
-                      ? "greylist"
-                      : (verdict.listed() ? "block" : "allow"))
-              << '\n';
-  } else {
-    serve::WorkloadConfig workload;
-    workload.seed = static_cast<std::uint64_t>(
-        flags.get_int("workload-seed").value_or(1));
-    workload.query_count =
-        static_cast<std::uint64_t>(flags.get_int("queries").value_or(1000000));
-    workload.batch_size =
-        static_cast<std::size_t>(flags.get_int("batch").value_or(64));
-    workload.threads = *threads == 0
-                           ? static_cast<int>(net::ThreadPool::hardware_jobs())
-                           : *threads;
-    workload.target_qps = flags.get_double("qps").value_or(0.0);
-    const bool swap_mid_run = flags.get_bool("swap-mid-run");
-    if (swap_mid_run) {
-      // The swapped-in snapshot is a second load of the same artifact —
-      // answers stay identical, so mid-run verdicts remain correct while
-      // the pointer genuinely changes under traffic.
-      auto next_day = serve::CompiledSnapshot::load(snapshot_path);
-      if (!next_day) {
-        std::cerr << "error: cannot reload " << snapshot_path
-                  << " for the mid-run swap\n";
-        return 1;
-      }
-      workload.swap_to = std::make_shared<const serve::CompiledSnapshot>(
-          *std::move(next_day));
-    }
-
-    std::cerr << "replaying " << workload.query_count << " queries (batch "
-              << workload.batch_size << ", " << workload.threads
-              << " threads" << (swap_mid_run ? ", mid-run swap" : "")
-              << ")...\n";
-    const serve::WorkloadReport report =
-        serve::run_workload(engine, *snapshot, workload);
-
-    std::ostringstream json;
-    json.precision(3);
-    json << std::fixed;
-    json << "{\n"
-         << "  \"workload_seed\": " << workload.seed << ",\n"
-         << "  \"queries\": " << report.queries << ",\n"
-         << "  \"batches\": " << report.batches << ",\n"
-         << "  \"batch_size\": " << workload.batch_size << ",\n"
-         << "  \"threads\": " << workload.threads << ",\n"
-         << "  \"target_qps\": " << workload.target_qps << ",\n"
-         << "  \"swap_mid_run\": " << (swap_mid_run ? "true" : "false")
-         << ",\n"
-         << "  \"swapped\": " << (report.swapped ? "true" : "false") << ",\n"
-         << "  \"snapshot\": {\n"
-         << "    \"entries\": " << snapshot->entry_count() << ",\n"
-         << "    \"buckets\": " << snapshot->bucket_count() << ",\n"
-         << "    \"dynamic24\": " << snapshot->dynamic24_count() << ",\n"
-         << "    \"top_lists\": " << snapshot->top_lists().size() << ",\n"
-         << "    \"fingerprint\": \"" << snapshot->fingerprint_hex()
-         << "\",\n"
-         << "    \"source_fingerprint\": \""
-         << hex64(snapshot->source_fingerprint()) << "\"\n"
-         << "  },\n"
-         << "  \"listed_hits\": " << report.listed_hits << ",\n"
-         << "  \"reused_hits\": " << report.reused_hits << ",\n"
-         << "  \"wall_seconds\": " << report.wall_seconds << ",\n"
-         << "  \"throughput_qps\": " << report.throughput_qps << ",\n"
-         << "  \"p50_nanos\": " << report.p50_nanos << ",\n"
-         << "  \"p99_nanos\": " << report.p99_nanos << ",\n"
-         << "  \"max_nanos\": " << report.max_nanos << "\n"
-         << "}\n";
-
-    const std::string bench_path = flags.get("bench-out");
-    std::ofstream bench(bench_path);
-    if (!bench) {
-      std::cerr << "error: cannot write " << bench_path << '\n';
-      return 1;
-    }
-    bench << json.str();
-    std::cout << json.str();
-    std::cerr << "wrote " << bench_path << " ("
-              << static_cast<std::uint64_t>(report.throughput_qps)
-              << " qps, p99 " << report.p99_nanos << " ns/batch)\n";
+              << " verdicts/s, p50 " << load.p50_nanos << " ns, p99 "
+              << load.p99_nanos << " ns, " << stats.shed_total() << " shed, "
+              << stats.rejected_total() << " rejected)\n";
   }
 
   if (flags.has("metrics-out")) {
