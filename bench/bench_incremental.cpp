@@ -24,7 +24,6 @@
 // hashes to the rebuilt one. Output: BENCH_incremental.json with
 // resume_speedup (fresh/resume — CI gates >= 2x) and the delta figures.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -36,19 +35,9 @@
 #include "analysis/scenario.h"
 #include "netbase/flags.h"
 #include "netbase/json.h"
+#include "netbase/stage_timer.h"
 #include "netbase/thread_pool.h"
 #include "serve/snapshot.h"
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double elapsed_millis(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace reuse;
@@ -116,10 +105,10 @@ int main(int argc, char** argv) {
   std::remove(ext_path.c_str());
 
   std::cerr << "[bench_incremental] base run (" << base_days << " days)...\n";
-  const auto base_start = Clock::now();
-  const analysis::CachedScenario base =
-      analysis::run_scenario_cached(config, base_path);
-  const double base_millis = elapsed_millis(base_start);
+  net::StageTimer legs;
+  const analysis::CachedScenario base = legs.time(
+      "base", [&] { return analysis::run_scenario_cached(config, base_path); });
+  const double base_millis = legs.millis("base");
   if (base.cache_hit) {
     std::cerr << "error: base leg hit a cache that was just removed\n";
     return 1;
@@ -129,17 +118,18 @@ int main(int argc, char** argv) {
       analysis::extend_scenario_days(config, extra_days);
   std::cerr << "[bench_incremental] fresh extended run (" << base_days << "+"
             << extra_days << " days)...\n";
-  const auto fresh_start = Clock::now();
-  const analysis::Scenario fresh = analysis::run_scenario(extended);
-  const double fresh_millis = elapsed_millis(fresh_start);
+  const analysis::Scenario fresh =
+      legs.time("fresh", [&] { return analysis::run_scenario(extended); });
+  const double fresh_millis = legs.millis("fresh");
   const std::uint64_t fresh_fingerprint = analysis::products_fingerprint(
       fresh.crawl, fresh.ecosystem, fresh.fleet, fresh.pipeline, fresh.census);
 
   std::cerr << "[bench_incremental] resume (+" << extra_days << " days)...\n";
-  const auto resume_start = Clock::now();
-  analysis::EvolvedScenario evolved =
-      analysis::evolve_scenario_cached(config, extra_days, base_path, ext_path);
-  const double resume_millis = elapsed_millis(resume_start);
+  analysis::EvolvedScenario evolved = legs.time("resume", [&] {
+    return analysis::evolve_scenario_cached(config, extra_days, base_path,
+                                            ext_path);
+  });
+  const double resume_millis = legs.millis("resume");
   if (evolved.path != analysis::EvolvePath::kResumed) {
     std::cerr << "error: evolve fell back to a fresh run (base cache "
                  "unusable) — the bench measured nothing\n";
@@ -168,22 +158,21 @@ int main(int argc, char** argv) {
           .with_dynamic(base.pipeline.dynamic_prefixes)
           .with_catalogue(base.catalogue)
           .build(pool.get());
-  const auto rebuild_start = Clock::now();
-  const serve::CompiledSnapshot snap_next =
-      serve::SnapshotBuilder()
-          .with_store(resumed.ecosystem.store)
-          .with_nated(resumed.crawl.nated_set)
-          .with_dynamic(resumed.pipeline.dynamic_prefixes)
-          .with_catalogue(resumed.catalogue)
-          .build(pool.get());
-  const double rebuild_millis = elapsed_millis(rebuild_start);
+  const serve::CompiledSnapshot snap_next = legs.time("rebuild", [&] {
+    return serve::SnapshotBuilder()
+        .with_store(resumed.ecosystem.store)
+        .with_nated(resumed.crawl.nated_set)
+        .with_dynamic(resumed.pipeline.dynamic_prefixes)
+        .with_catalogue(resumed.catalogue)
+        .build(pool.get());
+  });
+  const double rebuild_millis = legs.millis("rebuild");
   const serve::SnapshotDelta delta =
       serve::SnapshotBuilder::diff(snap_base, snap_next);
   std::string error;
-  const auto apply_start = Clock::now();
   const std::optional<serve::CompiledSnapshot> applied =
-      delta.apply(snap_base, &error);
-  const double apply_millis = elapsed_millis(apply_start);
+      legs.time("apply", [&] { return delta.apply(snap_base, &error); });
+  const double apply_millis = legs.millis("apply");
   if (!applied) {
     std::cerr << "error: delta apply failed: " << error << '\n';
     return 1;

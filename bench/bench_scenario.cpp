@@ -23,7 +23,6 @@
 // (threads cannot beat physics), which is why CI gates the speedup only
 // when the runner has the cores to back it.
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -34,11 +33,13 @@
 #include "analysis/scenario.h"
 #include "netbase/flags.h"
 #include "netbase/json.h"
+#include "netbase/stage_timer.h"
 #include "netbase/thread_pool.h"
 
 namespace {
 
-using reuse::analysis::StageTiming;
+using reuse::net::StageMillis;
+using reuse::net::StageTiming;
 
 double median(std::vector<double> values) {
   std::sort(values.begin(), values.end());
@@ -51,12 +52,13 @@ double median(std::vector<double> values) {
 struct JobsReport {
   int jobs = 1;
   std::uint64_t fingerprint = 0;
-  double total_millis = 0.0;                    ///< median over runs
-  std::vector<std::pair<std::string, double>> stages;  ///< median per stage
+  double total_millis = 0.0;  ///< median over runs
+  /// Median wall-clock of the stages that recorded a wall scope.
+  StageMillis stages;
   /// Median CPU attribution (cross-thread scope sums) for stages that
   /// record it — kept apart from wall-clock so sub-stage attribution can
   /// exceed its parent's wall without the report looking impossible.
-  std::vector<std::pair<std::string, double>> stages_cpu;
+  StageMillis stages_cpu;
 };
 
 }  // namespace
@@ -162,10 +164,12 @@ int main(int argc, char** argv) {
       }
       totals.push_back(scenario.stage_times.total_millis());
       for (const StageTiming& timing : scenario.stage_times.timings()) {
-        if (samples.find(timing.stage) == samples.end()) {
+        if (std::find(stage_order.begin(), stage_order.end(), timing.stage) ==
+            stage_order.end()) {
           stage_order.push_back(timing.stage);
         }
-        samples[timing.stage].push_back(timing.millis);
+        // A CPU-only stage has no wall time to report.
+        if (timing.scopes > 0) samples[timing.stage].push_back(timing.millis);
         if (timing.cpu_millis > 0.0) {
           cpu_samples[timing.stage].push_back(timing.cpu_millis);
         }
@@ -175,7 +179,9 @@ int main(int argc, char** argv) {
     }
     report.total_millis = median(totals);
     for (const std::string& stage : stage_order) {
-      report.stages.emplace_back(stage, median(samples[stage]));
+      if (const auto it = samples.find(stage); it != samples.end()) {
+        report.stages.emplace_back(stage, median(it->second));
+      }
       if (const auto it = cpu_samples.find(stage); it != cpu_samples.end()) {
         report.stages_cpu.emplace_back(stage, median(it->second));
       }
@@ -214,21 +220,11 @@ int main(int argc, char** argv) {
     const JobsReport& report = reports[i];
     if (i > 0) json << ",";
     json << "\n    \"" << report.jobs << "\": {\"total_millis\": "
-         << report.total_millis << ", \"stages\": {";
-    for (std::size_t s = 0; s < report.stages.size(); ++s) {
-      if (s > 0) json << ", ";
-      json << '"' << net::json_escape(report.stages[s].first)
-           << "\": " << report.stages[s].second;
-    }
-    json << "}";
+         << report.total_millis << ", \"stages\": ";
+    net::write_stage_map(json, report.stages);
     if (!report.stages_cpu.empty()) {
-      json << ", \"stages_cpu\": {";
-      for (std::size_t s = 0; s < report.stages_cpu.size(); ++s) {
-        if (s > 0) json << ", ";
-        json << '"' << net::json_escape(report.stages_cpu[s].first)
-             << "\": " << report.stages_cpu[s].second;
-      }
-      json << "}";
+      json << ", \"stages_cpu\": ";
+      net::write_stage_map(json, report.stages_cpu);
     }
     json << "}";
   }

@@ -15,7 +15,6 @@
 //                               on every deterministic field
 //
 // Output: BENCH_sweep.json (cold/warm millis, cells/sec, hit ratio).
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -24,18 +23,8 @@
 #include "analysis/presets.h"
 #include "netbase/flags.h"
 #include "netbase/json.h"
+#include "netbase/stage_timer.h"
 #include "sweep/sweep.h"
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double elapsed_millis(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace reuse;
@@ -88,14 +77,15 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(config.cache_dir, ec);  // cold means cold
 
   std::cerr << "[bench_sweep] cold sweep...\n";
-  const auto cold_start = Clock::now();
-  const sweep::SweepReport cold = sweep::run_sweep(config);
-  const double cold_millis = elapsed_millis(cold_start);
+  net::StageTimer legs;
+  const sweep::SweepReport cold =
+      legs.time("cold", [&] { return sweep::run_sweep(config); });
+  const double cold_millis = legs.millis("cold");
 
   std::cerr << "[bench_sweep] warm sweep...\n";
-  const auto warm_start = Clock::now();
-  const sweep::SweepReport warm = sweep::run_sweep(config);
-  const double warm_millis = elapsed_millis(warm_start);
+  const sweep::SweepReport warm =
+      legs.time("warm", [&] { return sweep::run_sweep(config); });
+  const double warm_millis = legs.millis("warm");
 
   const std::size_t cells = warm.cells.size();
   const std::size_t failed = cold.cells_failed + warm.cells_failed;

@@ -41,12 +41,13 @@
 #include "netbase/flags.h"
 #include "netbase/json.h"
 #include "netbase/mem.h"
+#include "netbase/stage_timer.h"
 
 namespace {
 
 using reuse::analysis::Scenario;
 using reuse::analysis::ScenarioConfig;
-using reuse::analysis::StageTiming;
+using reuse::net::StageMillis;
 
 struct RunSpec {
   std::string name;
@@ -55,7 +56,8 @@ struct RunSpec {
 };
 
 /// Child-side: run one configuration and dump flat "key value" lines (plus
-/// "stage <name> <millis> <cpu_millis>" lines) for the parent to pick up.
+/// "stage <name> <wall millis>" and "stage_cpu <name> <cpu millis>" lines)
+/// for the parent to pick up.
 /// Text lines instead of JSON so the parent needs no parser beyond
 /// operator>>.
 void run_child(ScenarioConfig config, const RunSpec& spec,
@@ -101,17 +103,17 @@ void run_child(ScenarioConfig config, const RunSpec& spec,
          << "store_listings " << scenario.ecosystem.store.listing_count()
          << '\n'
          << "store_bytes " << scenario.ecosystem.store.memory_bytes() << '\n';
-  for (const StageTiming& timing : scenario.stage_times.timings()) {
-    report << "stage " << timing.stage << ' ' << timing.millis << ' '
-           << timing.cpu_millis << '\n';
+  for (const auto& [stage, millis] : scenario.stage_times.wall_map()) {
+    report << "stage " << stage << ' ' << millis << '\n';
+  }
+  for (const auto& [stage, cpu_millis] : scenario.stage_times.cpu_map()) {
+    report << "stage_cpu " << stage << ' ' << cpu_millis << '\n';
   }
   report.flush();
   // Skip static destructors: the world at this scale takes a while to tear
   // down and the process is done reporting.
   _exit(report.good() ? 0 : 1);
 }
-
-using StageMillis = std::vector<std::pair<std::string, double>>;
 
 struct RunReport {
   std::map<std::string, std::string> values;
@@ -138,13 +140,12 @@ bool read_report(const std::string& path, RunReport* out) {
     std::istringstream fields(line);
     std::string key;
     fields >> key;
-    if (key == "stage") {
+    if (key == "stage" || key == "stage_cpu") {
       std::string stage;
       double millis = 0.0;
-      double cpu_millis = 0.0;
-      fields >> stage >> millis >> cpu_millis;
-      out->stages.emplace_back(stage, millis);
-      if (cpu_millis > 0.0) out->stages_cpu.emplace_back(stage, cpu_millis);
+      fields >> stage >> millis;
+      (key == "stage" ? out->stages : out->stages_cpu)
+          .emplace_back(stage, millis);
     } else {
       std::string value;
       fields >> value;
@@ -152,17 +153,6 @@ bool read_report(const std::string& path, RunReport* out) {
     }
   }
   return !out->values.empty();
-}
-
-/// Writes `{"stage": value, ...}`.
-void write_stage_map(std::ostream& json, const StageMillis& stages) {
-  json << '{';
-  for (std::size_t s = 0; s < stages.size(); ++s) {
-    if (s > 0) json << ", ";
-    json << '"' << reuse::net::json_escape(stages[s].first)
-         << "\": " << stages[s].second;
-  }
-  json << '}';
 }
 
 }  // namespace
@@ -306,9 +296,9 @@ int main(int argc, char** argv) {
          << "      \"products_fingerprint\": \""
          << net::json_escape(report.text("fingerprint")) << "\",\n"
          << "      \"stages\": ";
-    write_stage_map(json, report.stages);
+    net::write_stage_map(json, report.stages);
     json << ",\n      \"stages_cpu\": ";
-    write_stage_map(json, report.stages_cpu);
+    net::write_stage_map(json, report.stages_cpu);
     // Per-stage throughput for the top-level stages ('.'-prefixed sub-stages
     // are already counted inside their parent).
     StageMillis per_sec;
@@ -321,7 +311,7 @@ int main(int argc, char** argv) {
                                : 0.0);
     }
     json << ",\n      \"stage_addresses_per_sec\": ";
-    write_stage_map(json, per_sec);
+    net::write_stage_map(json, per_sec);
     json << "\n    }";
   }
   json << "\n  }\n}\n";

@@ -2,15 +2,15 @@
 //
 // The paper rate-limited one crawler to spare its network and suggested
 // distributing the crawl over several vantage points. This experiment crawls
-// identical worlds with 1, 2 and 4 vantages in two regimes: a generous
-// per-vantage budget (showing equal coverage at ~1/K per-network burden) and
-// a binding budget (showing extra vantages buying coverage per day).
+// identical worlds with 1, 2 and 4 vantages — the sharded crawl with one
+// shard per vantage, each crawling its hash-partition of the space from its
+// own replica of one overlay — in two regimes: a generous per-vantage
+// budget (showing equal coverage at ~1/K per-network burden) and a binding
+// budget (showing extra vantages buying coverage per day).
 #include "bench_common.h"
 
-#include "crawler/vantage.h"
-#include "dht/network.h"
+#include "crawler/sharded.h"
 #include "internet/world.h"
-#include "simnet/event_queue.h"
 
 int main() {
   using namespace reuse;
@@ -21,26 +21,18 @@ int main() {
   const inet::World world(world_config);
 
   auto run = [&](std::size_t vantages, std::size_t budget_per_second) {
-    sim::EventQueue events;
-    dht::DhtNetworkConfig dht_config;
-    dht_config.seed = bench::kBenchSeed ^ 0xd47;
-    dht::DhtNetwork network(world, events, dht_config);
-    const net::TimeWindow window{net::SimTime(0), net::SimTime(86400)};
-    network.schedule_churn(window);
-
-    crawler::VantageConfig config;
+    crawler::ShardedCrawlConfig config;
     config.base.seed = bench::kBenchSeed ^ 0xc4a3;
     config.base.messages_per_second = budget_per_second;
-    config.vantage_count = vantages;
-    crawler::MultiVantageCrawler crawler(network.transport(), events,
-                                         network.bootstrap_endpoint(), config);
-    crawler.start(window);
-    events.run_until(window.end + net::Duration::minutes(10));
-    return crawler.merged();
+    config.dht.seed = bench::kBenchSeed ^ 0xd47;
+    config.window = net::TimeWindow{net::SimTime(0), net::SimTime(86400)};
+    config.shard_count = vantages;
+    return crawler::run_sharded_crawl(world, config, nullptr, nullptr,
+                                      nullptr);
   };
 
   auto emit = [](net::AsciiTable& table, std::size_t vantages,
-                 const crawler::MergedResults& merged) {
+                 const crawler::CrawlOutput& merged) {
     const std::uint64_t total_messages =
         merged.stats.get_nodes_sent + merged.stats.pings_sent;
     table.add_row(

@@ -13,7 +13,6 @@
 #include <string>
 
 #include "analysis/scenario.h"
-#include "analysis/stage_timer.h"
 #include "netbase/flags.h"
 
 namespace reuse::analysis {

@@ -5,7 +5,6 @@
 
 #include "analysis/stage_runner.h"
 #include "blocklist/catalogue.h"
-#include "crawler/sharded.h"
 #include "internet/abuse.h"
 #include "netbase/metrics.h"
 #include "netbase/rng.h"
@@ -30,42 +29,8 @@ CrawlOutput run_scenario_crawl(const inet::World& world,
   sharded.window = net::TimeWindow{
       net::SimTime(0), net::SimTime(config.crawl_days * std::int64_t{86400})};
   sharded.shard_count = config.crawl_shards;
-  if (faults != nullptr) sharded.faults = faults->plan();
-
-  crawler::ShardedCrawlResult result =
-      crawler::run_sharded_crawl(world, sharded, pool);
-  // The shards injected from private ledgers; fold them into the scenario's
-  // injector so its stats() still span the whole run (degradation report,
-  // cache record).
-  if (faults != nullptr) faults->absorb(result.fault_stats);
-  if (stage_times != nullptr) {
-    // Sub-stage attribution: the '.' prefix keeps these out of
-    // StageTimer::total_millis() — their time is already inside "crawl".
-    // overlay/shards/merge are caller-side wall-clock and partition the
-    // stage; build/events are per-shard scope sums, which overlap in
-    // wall-clock under a pool, so they go in as CPU attribution — never as
-    // wall (recording them as wall made crawl.events exceed "crawl" at
-    // jobs=8).
-    stage_times->record("crawl.overlay", result.overlay_millis);
-    stage_times->record("crawl.shards", result.shards_millis);
-    stage_times->record("crawl.merge", result.merge_millis);
-    stage_times->record_cpu("crawl.build", result.build_millis);
-    stage_times->record_cpu("crawl.events", result.events_millis);
-  }
-
-  CrawlOutput output;
-  output.stats = result.stats;
-  output.evidence = std::move(result.evidence);
-  output.nated = std::move(result.nated);
-  for (const auto& [address, users] : output.nated) {
-    output.nated_set.insert(address);
-  }
-  output.distinct_node_ids = result.distinct_node_ids;
-  output.dht_peers = result.dht_peers;
-  output.dht_addresses = result.dht_addresses;
-  output.transport_fault_request_drops = result.transport_fault_request_drops;
-  output.transport_fault_response_drops =
-      result.transport_fault_response_drops;
+  CrawlOutput output =
+      crawler::run_sharded_crawl(world, sharded, faults, pool, stage_times);
   publish_crawl_metrics(output);
   return output;
 }

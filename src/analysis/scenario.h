@@ -10,24 +10,28 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/degradation.h"
-#include "analysis/stage_timer.h"
 #include "atlas/fleet.h"
 #include "blocklist/ecosystem.h"
 #include "census/census.h"
 #include "crawler/crawler.h"
+#include "crawler/sharded.h"
 #include "dht/network.h"
 #include "dynadetect/pipeline.h"
 #include "internet/abuse.h"
 #include "internet/world.h"
+#include "netbase/stage_timer.h"
 #include "netbase/thread_pool.h"
 #include "simnet/faults.h"
 
 namespace reuse::analysis {
+
+/// The stage timer lives in netbase; these names are kept for callers that
+/// spell it through analysis.
+using StageTimer = net::StageTimer;
+using StageTiming = net::StageTiming;
 
 /// Bumped whenever generator/ecosystem calibration constants change, so
 /// stale scenario caches are rejected (the cache header records it).
@@ -139,21 +143,8 @@ struct ScenarioSpan {
 [[nodiscard]] inet::AbuseGenConfig scenario_abuse_config(
     const inet::World& world, const ScenarioConfig& config);
 
-/// Crawl outputs copied into plain data (the crawler itself dies with the
-/// event queue).
-struct CrawlOutput {
-  crawler::CrawlStats stats;
-  std::unordered_map<net::Ipv4Address, crawler::IpEvidence> evidence;
-  std::vector<std::pair<net::Ipv4Address, std::size_t>> nated;
-  std::unordered_set<net::Ipv4Address> nated_set;
-  std::size_t distinct_node_ids = 0;
-  std::size_t dht_peers = 0;
-  std::size_t dht_addresses = 0;
-  /// Datagrams consumed by fault episodes (TransportStats counters, carried
-  /// out of the event-queue scope for the degradation report).
-  std::uint64_t transport_fault_request_drops = 0;
-  std::uint64_t transport_fault_response_drops = 0;
-};
+/// The crawl's product type (crawler/sharded.h).
+using CrawlOutput = crawler::CrawlOutput;
 
 /// Publishes the crawler_ metric family from a finished crawl. Called by
 /// the scenario runner after the crawl stage, and by the cache loader when
@@ -162,9 +153,10 @@ struct CrawlOutput {
 void publish_crawl_metrics(const CrawlOutput& crawl);
 
 /// Runs the scenario's sharded crawl stage against `store` (the blocklist
-/// presence the crawler restriction reads). Folds the shard fault ledgers
-/// into `faults` and records the crawl.* sub-stage timings into
-/// `stage_times` (both optional).
+/// presence the crawler restriction reads) and publishes its metrics.
+/// `faults` and `stage_times` are run_sharded_crawl's: both optional, the
+/// shard fault ledgers land in the one and the crawl.* sub-stages in the
+/// other.
 [[nodiscard]] CrawlOutput run_scenario_crawl(
     const inet::World& world, const blocklist::SnapshotStore& store,
     const ScenarioConfig& config, sim::FaultInjector* faults,

@@ -49,7 +49,7 @@ struct CrawlerConfig {
   bool restricted = false;
   net::PrefixSet restrict_to;
   /// Multi-vantage partitioning: this crawler only contacts addresses whose
-  /// hash falls in its partition (see crawler/vantage.h). 1/0 = everything.
+  /// hash falls in its partition (see crawler/sharded.h). 1/0 = everything.
   std::size_t partition_count = 1;
   std::size_t partition_index = 0;
   /// Bootstrap watchdog: while no get_nodes response has ever arrived, the

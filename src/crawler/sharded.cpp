@@ -1,36 +1,14 @@
 #include "crawler/sharded.h"
 
-#include <time.h>
-
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 
 #include "simnet/event_queue.h"
 
 namespace reuse::crawler {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double elapsed_millis(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-/// CPU milliseconds the calling thread has used. The shard sub-stages are
-/// CPU attribution: a shard's wall time would also count the time it spent
-/// waiting for a core whenever the pool has more workers than there are
-/// cores.
-double thread_cpu_millis() {
-  timespec now{};
-  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
-  return static_cast<double>(now.tv_sec) * 1e3 +
-         static_cast<double>(now.tv_nsec) / 1e6;
-}
 
 /// Everything one shard simulation produced, copied out before its event
 /// queue and overlay replica die. One slot per shard, written only by the
@@ -45,58 +23,57 @@ struct ShardHarvest {
   std::uint64_t transport_fault_request_drops = 0;
   std::uint64_t transport_fault_response_drops = 0;
   sim::FaultStats fault_stats;
-  double build_millis = 0.0;
-  double events_millis = 0.0;
 };
 
 ShardHarvest run_shard(const std::shared_ptr<const dht::DhtOverlay>& overlay,
-                       const ShardedCrawlConfig& config, std::size_t shard) {
-  ShardHarvest harvest;
-  const double build_start = thread_cpu_millis();
-
+                       const ShardedCrawlConfig& config,
+                       const sim::FaultPlan& faults, std::size_t shard,
+                       net::StageTimer& timer) {
   // One self-contained simulation: queue, overlay replica, faults, crawler.
   // Every shard replicates the same overlay, modelling one network crawled
   // from K vantage points.
   sim::EventQueue events;
-  dht::DhtNetwork network(overlay, events);
-
-  // The burst generator is stateful, so a shared injector would serialize
-  // the shards (and make drop decisions depend on shard scheduling). Each
-  // shard owns one, over the same episodes, with an independent burst
-  // stream; the ledgers are summed at merge time.
+  std::optional<dht::DhtNetwork> network;
   std::optional<sim::FaultInjector> injector;
-  if (!config.faults.empty()) {
-    sim::FaultPlan plan = config.faults;
-    plan.seed ^= 0x9e3779b97f4a7c15ULL * (shard + 1);
-    injector.emplace(std::move(plan));
-    injector->begin_stage(sim::FaultStage::kCrawl);
-    injector->designate_bootstrap(network.bootstrap_endpoint());
-    network.transport().attach_faults(&*injector);
-  }
-  network.schedule_churn(config.window);
+  std::optional<Crawler> crawler;
+  timer.time_cpu("crawl.build", [&] {
+    network.emplace(overlay, events);
+    // The burst generator is stateful, so a shared injector would serialize
+    // the shards (and make drop decisions depend on shard scheduling). Each
+    // shard owns one, over the same episodes, with an independent burst
+    // stream; the merge absorbs the ledgers into the caller's injector.
+    if (!faults.empty()) {
+      sim::FaultPlan plan = faults;
+      plan.seed ^= 0x9e3779b97f4a7c15ULL * (shard + 1);
+      injector.emplace(std::move(plan));
+      injector->begin_stage(sim::FaultStage::kCrawl);
+      injector->designate_bootstrap(network->bootstrap_endpoint());
+      network->transport().attach_faults(&*injector);
+    }
+    network->schedule_churn(config.window);
 
-  CrawlerConfig crawl_config = config.base;
-  crawl_config.partition_count = config.shard_count;
-  crawl_config.partition_index = shard;
-  // The vantage.h salt: distinct crawler RNG streams per shard.
-  crawl_config.seed = config.base.seed ^ (0x9e3779b9ULL * (shard + 1));
-  Crawler crawler(network.transport(), events, network.bootstrap_endpoint(),
-                  crawl_config);
-  crawler.start(config.window);
-  harvest.build_millis = thread_cpu_millis() - build_start;
+    CrawlerConfig crawl_config = config.base;
+    crawl_config.partition_count = config.shard_count;
+    crawl_config.partition_index = shard;
+    // Distinct crawler RNG streams per shard.
+    crawl_config.seed = config.base.seed ^ (0x9e3779b9ULL * (shard + 1));
+    crawler.emplace(network->transport(), events,
+                    network->bootstrap_endpoint(), crawl_config);
+    crawler->start(config.window);
+  });
+  timer.time_cpu("crawl.events", [&] {
+    events.run_until(config.window.end + net::Duration::minutes(10));
+  });
 
-  const double events_start = thread_cpu_millis();
-  events.run_until(config.window.end + net::Duration::minutes(10));
-  harvest.events_millis = thread_cpu_millis() - events_start;
-
-  harvest.stats = crawler.stats();
-  harvest.evidence = crawler.discovered();
-  harvest.node_ids = crawler.node_ids();
-  if (shard == 0) harvest.dht_addresses = network.distinct_addresses();
+  ShardHarvest harvest;
+  harvest.stats = crawler->stats();
+  harvest.evidence = crawler->discovered();
+  harvest.node_ids = crawler->node_ids();
+  if (shard == 0) harvest.dht_addresses = network->distinct_addresses();
   harvest.transport_fault_request_drops =
-      network.transport().stats().requests_lost_fault;
+      network->transport().stats().requests_lost_fault;
   harvest.transport_fault_response_drops =
-      network.transport().stats().responses_lost_fault;
+      network->transport().stats().responses_lost_fault;
   if (injector.has_value()) harvest.fault_stats = injector->stats();
   return harvest;
 }
@@ -115,84 +92,78 @@ void add_stats(CrawlStats& into, const CrawlStats& from) {
   into.verification_recoveries += from.verification_recoveries;
 }
 
-void add_faults(sim::FaultStats& into, const sim::FaultStats& from) {
-  into.burst_request_drops += from.burst_request_drops;
-  into.burst_response_drops += from.burst_response_drops;
-  into.bootstrap_blackholes += from.bootstrap_blackholes;
-  into.feed_snapshots_suppressed += from.feed_snapshots_suppressed;
-  into.feeds_corrupted += from.feeds_corrupted;
-  into.atlas_records_suppressed += from.atlas_records_suppressed;
-}
-
 }  // namespace
 
-ShardedCrawlResult run_sharded_crawl(const inet::World& world,
-                                     const ShardedCrawlConfig& config,
-                                     net::ThreadPool* pool) {
-  const std::size_t shard_count = std::max<std::size_t>(1, config.shard_count);
+CrawlOutput run_sharded_crawl(const inet::World& world,
+                              const ShardedCrawlConfig& config,
+                              sim::FaultInjector* faults,
+                              net::ThreadPool* pool,
+                              net::StageTimer* stage_times) {
+  net::StageTimer unrecorded;
+  net::StageTimer& timer = stage_times != nullptr ? *stage_times : unrecorded;
   ShardedCrawlConfig effective = config;
-  effective.shard_count = shard_count;
+  effective.shard_count = std::max<std::size_t>(1, config.shard_count);
+  const sim::FaultPlan plan =
+      faults != nullptr ? faults->plan() : sim::FaultPlan{};
 
   // The overlay is built once and only read from here on; each shard's
   // replica holds its mutable state.
-  const auto overlay_start = Clock::now();
-  const auto overlay =
-      std::make_shared<const dht::DhtOverlay>(world, config.dht);
-  const double overlay_millis = elapsed_millis(overlay_start);
+  const auto overlay = timer.time("crawl.overlay", [&] {
+    return std::make_shared<const dht::DhtOverlay>(world, config.dht);
+  });
 
   // Index-addressed slots; grain 1 because each shard is minutes of work
   // relative to the claim cost, and balance matters more than claim count.
-  const auto shards_start = Clock::now();
-  std::vector<ShardHarvest> harvests(shard_count);
-  net::for_each_index(
-      pool, shard_count,
-      [&](std::size_t shard) {
-        harvests[shard] = run_shard(overlay, effective, shard);
-      },
-      /*grain=*/1);
-  const double shards_millis = elapsed_millis(shards_start);
+  std::vector<ShardHarvest> harvests(effective.shard_count);
+  timer.time("crawl.shards", [&] {
+    net::for_each_index(
+        pool, effective.shard_count,
+        [&](std::size_t shard) {
+          harvests[shard] = run_shard(overlay, effective, plan, shard, timer);
+        },
+        /*grain=*/1);
+  });
 
   // Harvest in shard-index order; the order only matters for the node_id
   // union's bucket history, but "always index order" is what makes the
   // merged products trivially jobs-independent.
-  const auto merge_start = Clock::now();
-  ShardedCrawlResult result;
-  result.dht_peers = overlay->peer_count();
-  result.dht_addresses = harvests.front().dht_addresses;
-  std::unordered_set<dht::NodeId> node_ids;
-  for (ShardHarvest& harvest : harvests) {
-    add_stats(result.stats, harvest.stats);
-    add_faults(result.fault_stats, harvest.fault_stats);
-    result.transport_fault_request_drops +=
-        harvest.transport_fault_request_drops;
-    result.transport_fault_response_drops +=
-        harvest.transport_fault_response_drops;
-    result.build_millis += harvest.build_millis;
-    result.events_millis += harvest.events_millis;
-    // Partitions are disjoint, so no address appears in two shards and the
-    // insert below never collides.
-    if (result.evidence.empty()) {
-      result.evidence = std::move(harvest.evidence);
-    } else {
-      result.evidence.insert(
-          std::make_move_iterator(harvest.evidence.begin()),
-          std::make_move_iterator(harvest.evidence.end()));
+  return timer.time("crawl.merge", [&] {
+    CrawlOutput output;
+    output.dht_peers = overlay->peer_count();
+    output.dht_addresses = harvests.front().dht_addresses;
+    std::unordered_set<dht::NodeId> node_ids;
+    for (ShardHarvest& harvest : harvests) {
+      add_stats(output.stats, harvest.stats);
+      if (faults != nullptr) faults->absorb(harvest.fault_stats);
+      output.transport_fault_request_drops +=
+          harvest.transport_fault_request_drops;
+      output.transport_fault_response_drops +=
+          harvest.transport_fault_response_drops;
+      // Partitions are disjoint, so no address appears in two shards and
+      // the insert below never collides.
+      if (output.evidence.empty()) {
+        output.evidence = std::move(harvest.evidence);
+      } else {
+        output.evidence.insert(
+            std::make_move_iterator(harvest.evidence.begin()),
+            std::make_move_iterator(harvest.evidence.end()));
+      }
+      node_ids.insert(harvest.node_ids.begin(), harvest.node_ids.end());
     }
-    node_ids.insert(harvest.node_ids.begin(), harvest.node_ids.end());
-  }
-  result.distinct_node_ids = node_ids.size();
+    output.distinct_node_ids = node_ids.size();
 
-  result.nated.reserve(result.evidence.size() / 8);
-  for (const auto& [address, evidence] : result.evidence) {
-    if (evidence.is_nated()) {
-      result.nated.emplace_back(address, evidence.max_concurrent_users);
+    output.nated.reserve(output.evidence.size() / 8);
+    for (const auto& [address, evidence] : output.evidence) {
+      if (evidence.is_nated()) {
+        output.nated.emplace_back(address, evidence.max_concurrent_users);
+      }
     }
-  }
-  std::sort(result.nated.begin(), result.nated.end());
-  result.overlay_millis = overlay_millis;
-  result.shards_millis = shards_millis;
-  result.merge_millis = elapsed_millis(merge_start);
-  return result;
+    std::sort(output.nated.begin(), output.nated.end());
+    for (const auto& [address, users] : output.nated) {
+      output.nated_set.insert(address);
+    }
+    return output;
+  });
 }
 
 }  // namespace reuse::crawler

@@ -1,4 +1,5 @@
-// Sharded crawl execution: the parallel form of the §3.1 crawler.
+// Sharded crawl execution: the parallel, multi-vantage form of the §3.1
+// crawler.
 //
 // A DHT crawl is a discrete-event simulation — one event queue, one clock —
 // so it cannot be split across threads without breaking determinism. The
@@ -7,11 +8,16 @@
 // the build), and K independent simulations each get their own event
 // queue, a replica of that overlay holding only the state churn and the
 // transport mutate, and a crawler restricted to the hash-partition i of K
-// of the IPv4 space (the multi-vantage partitioning from
-// crawler/vantage.h). Each shard keeps many bt_ping probes in flight inside
-// its own queue exactly as the single crawler does; shards never
-// communicate and only read the shared overlay, so they run on pool
-// workers concurrently.
+// of the IPv4 space. That is the paper's suggested improvement — crawling
+// from several vantage points so each network carries ~1/K of the probe
+// traffic and no address is probed twice. Each shard keeps many bt_ping
+// probes in flight inside its own queue exactly as the single crawler
+// does; shards never communicate and only read the shared overlay, so they
+// run on pool workers concurrently.
+//
+// The sharded crawl owns everything about its partitioning: the per-shard
+// crawler configs, the private per-shard fault injectors whose ledgers it
+// absorbs into the caller's injector, and the timing of its own sub-stages.
 //
 // Determinism contract: the shard count is configuration (part of the
 // scenario fingerprint), not a function of --jobs. Every jobs value runs
@@ -21,18 +27,21 @@
 // union is conflict-free). Results are therefore byte-identical for every
 // jobs value, including under fault injection: each shard owns a private
 // FaultInjector (the burst generator is stateful and single-threaded by
-// contract), and the per-shard ledgers are summed into the merged result
-// for exact reconciliation against consumer-side counters.
+// contract), and the per-shard ledgers are summed into the caller's
+// injector for exact reconciliation against consumer-side counters.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "crawler/crawler.h"
 #include "dht/network.h"
 #include "internet/world.h"
+#include "netbase/stage_timer.h"
 #include "netbase/thread_pool.h"
 #include "simnet/faults.h"
 
@@ -41,7 +50,7 @@ namespace reuse::crawler {
 struct ShardedCrawlConfig {
   /// Per-shard crawler configuration. The partition fields and the seed are
   /// overwritten per shard (partition i of shard_count, seed salted by the
-  /// shard index as in crawler/vantage.h); everything else applies as-is.
+  /// shard index); everything else applies as-is.
   CrawlerConfig base;
   /// Overlay configuration. The overlay is built once from it and every
   /// shard replicates that one build, so all replicas evolve identically
@@ -50,52 +59,56 @@ struct ShardedCrawlConfig {
   dht::DhtNetworkConfig dht;
   /// Crawl window; each shard's queue runs to window.end plus drain slack.
   net::TimeWindow window;
-  /// Number of independent shard simulations. Configuration, not a thread
-  /// count: every jobs value runs exactly this many shards, so the merged
-  /// products are identical whether they ran serially or in parallel.
+  /// Number of independent shard simulations (vantage points).
+  /// Configuration, not a thread count: every jobs value runs exactly this
+  /// many shards, so the merged products are identical whether they ran
+  /// serially or in parallel.
   std::size_t shard_count = 8;
-  /// Fault schedule. Each shard constructs a private injector over these
-  /// episodes with the plan seed salted by shard index (independent burst
-  /// streams); an empty plan injects nothing.
-  sim::FaultPlan faults;
 };
 
-/// Index-ordered merge of the per-shard harvests.
-struct ShardedCrawlResult {
+/// A finished crawl as plain data (the crawlers die with their event
+/// queues): the shard harvests merged in shard-index order.
+struct CrawlOutput {
   CrawlStats stats;  ///< component-wise sums over shards
   /// Disjoint union: shard i only contacts partition-i addresses.
   std::unordered_map<net::Ipv4Address, IpEvidence> evidence;
   /// NATed roster recomputed from the merged evidence, sorted by address
   /// (canonical order independent of shard scheduling).
   std::vector<std::pair<net::Ipv4Address, std::size_t>> nated;
+  std::unordered_set<net::Ipv4Address> nated_set;
   /// Union of the per-shard node_id sets (replicas host the same peers, so
   /// per-shard counts overlap and must not be summed).
   std::size_t distinct_node_ids = 0;
   std::size_t dht_peers = 0;      ///< the overlay's
   std::size_t dht_addresses = 0;  ///< shard 0's replica, after churn
-  std::uint64_t transport_fault_request_drops = 0;   ///< summed over shards
-  std::uint64_t transport_fault_response_drops = 0;  ///< summed over shards
-  /// Summed per-shard injector ledgers; reconciles exactly against the
-  /// consumer-side counters in `stats` (see analysis/degradation.h).
-  sim::FaultStats fault_stats;
-  // Sub-stage attribution. overlay/shards/merge are caller-side wall-clock
-  // and partition the stage: their sum is (within measurement noise) the
-  // whole run_sharded_crawl call. build/events are each shard thread's CPU
-  // time (CLOCK_THREAD_CPUTIME_ID) summed across shards: they describe
-  // where the work went inside shards_millis, never elapsed time, and do
-  // not grow when more pool workers than cores wait for a CPU.
-  double overlay_millis = 0.0;  ///< wall: the one overlay build
-  double shards_millis = 0.0;   ///< wall: the parallel per-shard region
-  double build_millis = 0.0;  ///< CPU: replica set-up, injector and churn
-  double events_millis = 0.0;  ///< CPU: event-queue execution (the crawl)
-  double merge_millis = 0.0;   ///< wall: index-ordered harvest merging
+  /// Datagrams consumed by fault episodes (TransportStats counters summed
+  /// over shards, carried out of the event-queue scope for the degradation
+  /// report).
+  std::uint64_t transport_fault_request_drops = 0;
+  std::uint64_t transport_fault_response_drops = 0;
 };
 
 /// Runs the K shard simulations — on `pool` when given, else serially —
 /// and merges their harvests in shard-index order. Byte-identical products
 /// for every pool size (see the determinism contract above).
-[[nodiscard]] ShardedCrawlResult run_sharded_crawl(
-    const inet::World& world, const ShardedCrawlConfig& config,
-    net::ThreadPool* pool);
+///
+/// `faults` (optional) supplies the fault schedule: each shard injects from
+/// a private injector over its plan, with the plan seed salted by shard
+/// index (independent burst streams), and the shard ledgers are absorbed
+/// into `faults`, so its stats() span the crawl. A null or empty-plan
+/// injector injects nothing.
+///
+/// `stage_times` (optional) receives the crawl's sub-stages. crawl.overlay,
+/// crawl.shards and crawl.merge are wall-clock on the calling thread and
+/// partition the call. crawl.build (replica set-up, injector, churn) and
+/// crawl.events (event-queue execution) are each shard thread's CPU time,
+/// summed over shards: they say where the work inside crawl.shards went,
+/// not how long it took, and do not grow while pool workers wait for a
+/// core.
+[[nodiscard]] CrawlOutput run_sharded_crawl(const inet::World& world,
+                                            const ShardedCrawlConfig& config,
+                                            sim::FaultInjector* faults,
+                                            net::ThreadPool* pool,
+                                            net::StageTimer* stage_times);
 
 }  // namespace reuse::crawler

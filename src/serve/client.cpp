@@ -37,6 +37,22 @@ constexpr double kReusedFraction = 0.3;
   return sorted[std::min(index, sorted.size() - 1)];
 }
 
+/// The entries of a by-request-id vector that hold a sample, sorted.
+[[nodiscard]] std::vector<std::uint64_t> sorted_samples(
+    const std::vector<std::uint64_t>& by_id, std::uint64_t missing) {
+  std::vector<std::uint64_t> samples;
+  for (const std::uint64_t value : by_id) {
+    if (value != missing) samples.push_back(value);
+  }
+  std::sort(samples.begin(), samples.end());
+  return samples;
+}
+
+[[nodiscard]] std::uint64_t nanos(Clock::duration duration) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(duration).count());
+}
+
 /// The in-process transport: verdict_batch answers each batch at send, and
 /// the answers queue until run_load reads them.
 class EngineSession final : public LoadSession {
@@ -208,6 +224,7 @@ LoadReport run_load(const SessionFactory& connect,
   LoadReport report;
   // Written by request id: each client owns the ids it sends.
   report.latency_nanos.assign(batches, LoadReport::kUnanswered);
+  report.send_late_nanos.assign(batches, LoadReport::kUnsent);
 
   const auto start = Clock::now();
   std::vector<std::thread> threads;
@@ -224,12 +241,11 @@ LoadReport run_load(const SessionFactory& connect,
         const std::uint64_t id = answer.request_id;
         if (id % clients != c || id / clients >= scheduled.size()) return;
         --in_flight;
-        const auto nanos = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - scheduled[id / clients])
-                .count());
-        report.latency_nanos[id] = nanos;
-        metrics.batch_micros.observe(static_cast<std::int64_t>(nanos / 1000));
+        const std::uint64_t latency =
+            nanos(Clock::now() - scheduled[id / clients]);
+        report.latency_nanos[id] = latency;
+        metrics.batch_micros.observe(
+            static_cast<std::int64_t>(latency / 1000));
         if (answer.status == ResponseStatus::kShed) {
           ++tally.shed;
           return;
@@ -257,9 +273,10 @@ LoadReport run_load(const SessionFactory& connect,
         if (in_flight >= window || Clock::now() < slot) break;
         net::Rng rng = net::substream(config.seed, kLoadSalt, id);
         fill_batch(rng, pools, kListedFraction, kReusedFraction, batch);
-        scheduled.push_back(interval > Clock::duration::zero() ? slot
-                                                                : Clock::now());
+        const Clock::time_point sent = Clock::now();
+        scheduled.push_back(interval > Clock::duration::zero() ? slot : sent);
         if (!session.send_batch(id, batch)) break;
+        report.send_late_nanos[id] = nanos(sent - scheduled.back());
         ++tally.submitted;
         ++in_flight;
       }
@@ -280,15 +297,16 @@ LoadReport run_load(const SessionFactory& connect,
 
   report.wall_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
-  std::vector<std::uint64_t> latencies;
-  for (const std::uint64_t nanos : report.latency_nanos) {
-    if (nanos != LoadReport::kUnanswered) latencies.push_back(nanos);
-  }
-  std::sort(latencies.begin(), latencies.end());
+  const std::vector<std::uint64_t> latencies =
+      sorted_samples(report.latency_nanos, LoadReport::kUnanswered);
   report.p50_nanos = percentile(latencies, 0.50);
   report.p99_nanos = percentile(latencies, 0.99);
   report.p999_nanos = percentile(latencies, 0.999);
   report.max_nanos = latencies.empty() ? 0 : latencies.back();
+  const std::vector<std::uint64_t> lateness =
+      sorted_samples(report.send_late_nanos, LoadReport::kUnsent);
+  report.send_late_p50_nanos = percentile(lateness, 0.50);
+  report.send_late_p99_nanos = percentile(lateness, 0.99);
   if (report.wall_seconds > 0.0) {
     report.throughput_qps = static_cast<double>(report.ok * batch_size) /
                             report.wall_seconds;

@@ -10,7 +10,9 @@
 // A request's latency runs from its *scheduled* send to the moment its
 // answer is read, and a client reads answers while it waits for its next
 // send slot, so a stall is charged to every request queued behind it
-// instead of vanishing into a late send time (coordinated omission).
+// instead of vanishing into a late send time (coordinated omission). How
+// late each request actually went out is reported beside it, so a paced
+// latency splits into the generator's own lateness and the lookup path.
 //
 // The chaos plan extends the deterministic fault-machinery idiom of
 // simnet/faults.h to the serving boundary: every client's behavior is a
@@ -153,6 +155,8 @@ struct LoadConfig {
 struct LoadReport {
   /// latency_nanos entry of a request that was never answered.
   static constexpr std::uint64_t kUnanswered = ~std::uint64_t{0};
+  /// send_late_nanos entry of a request that was never sent.
+  static constexpr std::uint64_t kUnsent = ~std::uint64_t{0};
 
   std::uint64_t submitted = 0;  ///< request frames sent
   std::uint64_t ok = 0;         ///< responses with status kOk
@@ -172,6 +176,14 @@ struct LoadReport {
   std::uint64_t p99_nanos = 0;
   std::uint64_t p999_nanos = 0;
   std::uint64_t max_nanos = 0;
+  /// How late request id k went out: its actual send minus its scheduled
+  /// send, so 0 unpaced, where the schedule is the send. A client held by
+  /// a full window or waking late from its wait shows here; kUnsent when
+  /// the request never went out.
+  std::vector<std::uint64_t> send_late_nanos;
+  // Percentiles over the sent requests (wall-clock; reported only).
+  std::uint64_t send_late_p50_nanos = 0;
+  std::uint64_t send_late_p99_nanos = 0;
 };
 
 /// Opens one client's session; called once per client, before the clock

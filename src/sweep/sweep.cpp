@@ -1,7 +1,6 @@
 #include "sweep/sweep.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -15,6 +14,7 @@
 #include "netbase/json.h"
 #include "netbase/metrics.h"
 #include "netbase/serialize.h"
+#include "netbase/stage_timer.h"
 #include "netbase/stats.h"
 #include "netbase/thread_pool.h"
 #include "sweep/cache_budget.h"
@@ -423,12 +423,15 @@ SweepReport run_sweep(const SweepConfig& config) {
           result.axis_values = cell.axis_values;
           result.config_fingerprint =
               analysis::config_fingerprint(cell.config);
-          const auto start = std::chrono::steady_clock::now();
+          net::StageTimer cell_timer;
           try {
-            if (static_cast<int>(cell_index) == config.inject_fail_cell) {
-              throw std::runtime_error("injected cell failure (--inject-fail)");
-            }
-            run_cell(config, cell, prev_ok, result);
+            cell_timer.time("cell", [&] {
+              if (static_cast<int>(cell_index) == config.inject_fail_cell) {
+                throw std::runtime_error(
+                    "injected cell failure (--inject-fail)");
+              }
+              run_cell(config, cell, prev_ok, result);
+            });
             prev_ok = &cell;
           } catch (const std::exception& e) {
             // Fault isolation: the cell reports its error and the chain
@@ -437,10 +440,9 @@ SweepReport run_sweep(const SweepConfig& config) {
             result.failed = true;
             result.error = e.what();
           }
+          // Whole milliseconds, truncated; a failed cell's time counts too.
           result.wall_millis =
-              std::chrono::duration_cast<std::chrono::milliseconds>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
+              static_cast<std::int64_t>(cell_timer.millis("cell"));
         }
       },
       /*grain=*/1);

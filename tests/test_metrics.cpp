@@ -1,6 +1,6 @@
 // Unit tests for the metrics registry (netbase/metrics), the shared JSON
-// escape and fingerprint helpers, the StageTimer telemetry fixes, and the
-// run manifest.
+// escape and fingerprint helpers, the stage timer (netbase/stage_timer) and
+// the crawl's use of it, and the run manifest.
 //
 // The registry under test here is mostly a process-local instance so the
 // cases stay independent of what other code registered in the global
@@ -9,15 +9,20 @@
 // many metrics exist.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/manifest.h"
-#include "analysis/stage_timer.h"
+#include "analysis/scenario.h"
+#include "blocklist/store.h"
+#include "internet/world.h"
 #include "netbase/json.h"
 #include "netbase/metrics.h"
+#include "netbase/stage_timer.h"
+#include "netbase/thread_pool.h"
 
 namespace reuse {
 namespace {
@@ -214,7 +219,7 @@ TEST(Metrics, ConcurrentIncrementsLoseNothing) {
 }
 
 TEST(StageTimer, JsonEscapesStageNames) {
-  analysis::StageTimer timer;
+  net::StageTimer timer;
   timer.record("quoted \"stage\"\n", 1.5);
   const std::string json = timer.to_json(2);
   EXPECT_NE(json.find("\"quoted \\\"stage\\\"\\n\": 1.500"),
@@ -224,7 +229,7 @@ TEST(StageTimer, JsonEscapesStageNames) {
 }
 
 TEST(StageTimer, TimeRecordsEvenWhenTheCallableThrows) {
-  analysis::StageTimer timer;
+  net::StageTimer timer;
   EXPECT_THROW(timer.time("doomed", [] {
     throw std::runtime_error("stage failed");
     return 1;
@@ -242,7 +247,7 @@ TEST(StageTimer, SameNameScopesAggregateInsteadOfOverwriting) {
   // Re-running a stage (cache replay), nesting a sub-scope, or closing
   // overlapping per-shard scopes must fold into one entry — the old
   // behaviour of overwriting silently dropped all but the last recording.
-  analysis::StageTimer timer;
+  net::StageTimer timer;
   timer.record("crawl", 100.0);
   timer.record("crawl", 25.0);
   timer.record("crawl", 0.5);
@@ -254,7 +259,7 @@ TEST(StageTimer, SameNameScopesAggregateInsteadOfOverwriting) {
 }
 
 TEST(StageTimer, NestedTimeScopesAggregateUnderOneName) {
-  analysis::StageTimer timer;
+  net::StageTimer timer;
   timer.time("outer", [&] {
     timer.time("outer", [] {});
     timer.time("outer", [] {});
@@ -267,22 +272,78 @@ TEST(StageTimer, NestedTimeScopesAggregateUnderOneName) {
 TEST(StageTimer, SubStagesAreExcludedFromTotalMillis) {
   // Dotted names are attribution detail recorded *inside* their parent
   // scope; adding them to the total would double-count that time.
-  analysis::StageTimer timer;
+  net::StageTimer timer;
   timer.record("crawl", 100.0);
   timer.record("crawl.build", 30.0);
   timer.record("crawl.events", 60.0);
   timer.record("ecosystem", 50.0);
+  // A stage with CPU attribution only has no wall time: the wall map
+  // leaves it out, stages_cpu carries it.
+  timer.record_cpu("crawl.cpu", 40.0);
   EXPECT_DOUBLE_EQ(timer.total_millis(), 150.0);
   // But they are still visible individually and in the JSON.
   EXPECT_DOUBLE_EQ(timer.millis("crawl.build"), 30.0);
-  EXPECT_NE(timer.to_json(1).find("\"crawl.events\": 60.000"),
-            std::string::npos);
+  const std::string json = timer.to_json(1);
+  EXPECT_NE(json.find("\"crawl.events\": 60.000"), std::string::npos);
+  const std::size_t cpu_map = json.find("\"stages_cpu\": {");
+  ASSERT_NE(cpu_map, std::string::npos);
+  EXPECT_EQ(json.find("\"crawl.cpu\""), json.find("\"crawl.cpu\": 40.000",
+                                                  cpu_map));
+}
+
+TEST(StageTimer, ThreadCpuScopeCountsWorkNotWaiting) {
+  using namespace std::chrono_literals;
+  net::StageTimer timer;
+  timer.time("sleep", [&] {
+    timer.time_cpu("sleep.cpu", [] { std::this_thread::sleep_for(50ms); });
+  });
+  EXPECT_LT(timer.cpu_millis("sleep.cpu"), timer.millis("sleep") / 10);
+  // A spin is all CPU, and a thread's CPU clock never runs ahead of the
+  // wall clock.
+  timer.time("spin", [&] {
+    timer.time_cpu("spin.cpu", [] {
+      const auto until = std::chrono::steady_clock::now() + 20ms;
+      while (std::chrono::steady_clock::now() < until) {
+      }
+    });
+  });
+  EXPECT_GT(timer.cpu_millis("spin.cpu"), 0.0);
+  EXPECT_LE(timer.cpu_millis("spin.cpu"), timer.millis("spin") + 1.0);
+}
+
+TEST(StageTimer, CrawlCpuNeverExceedsWallTimesThreads) {
+  // crawl.build and crawl.events sum each shard thread's CPU clock, so
+  // they fit inside the shards' wall region times the threads that ran
+  // them: the calling thread alone, or it and the pool's workers.
+  analysis::ScenarioConfig config = analysis::test_scenario_config(7);
+  config.world.as_count = 20;
+  config.crawl_days = 1;
+  config.restrict_crawler_to_blocklisted = false;
+  const inet::World world(config.world);
+  const blocklist::SnapshotStore store;
+  const auto crawl_cpu = [](const net::StageTimer& timer) {
+    return timer.cpu_millis("crawl.build") + timer.cpu_millis("crawl.events");
+  };
+
+  net::StageTimer serial;
+  const analysis::CrawlOutput output = analysis::run_scenario_crawl(
+      world, store, config, nullptr, nullptr, &serial);
+  ASSERT_GT(output.stats.pings_sent, 0u);
+  EXPECT_GT(crawl_cpu(serial), 0.0);
+  EXPECT_LE(crawl_cpu(serial), serial.millis("crawl.shards") + 1.0);
+
+  net::ThreadPool pool(4);
+  net::StageTimer pooled;
+  (void)analysis::run_scenario_crawl(world, store, config, nullptr, &pool,
+                                     &pooled);
+  EXPECT_GT(crawl_cpu(pooled), 0.0);
+  EXPECT_LE(crawl_cpu(pooled), pooled.millis("crawl.shards") * 5);
 }
 
 TEST(StageTimer, ConcurrentRecordsFromShardWorkersAllLand) {
   // The sharded crawl records sub-stage scopes from pool workers while the
   // scenario thread owns the enclosing scope; nothing may be lost or torn.
-  analysis::StageTimer timer;
+  net::StageTimer timer;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 1000;
   std::vector<std::thread> threads;
@@ -303,13 +364,13 @@ TEST(StageTimer, ConcurrentRecordsFromShardWorkersAllLand) {
 TEST(StageTimer, MoveTransfersTimingsAndLeavesSourceEmpty) {
   // A Scenario moves its StageTimer; the mutex stays with each object, the
   // entries move.
-  analysis::StageTimer source;
+  net::StageTimer source;
   source.record("world", 5.0);
-  analysis::StageTimer moved(std::move(source));
+  net::StageTimer moved(std::move(source));
   EXPECT_DOUBLE_EQ(moved.millis("world"), 5.0);
   EXPECT_TRUE(source.timings().empty());  // NOLINT(bugprone-use-after-move)
   source.record("fresh", 1.0);
-  analysis::StageTimer assigned;
+  net::StageTimer assigned;
   assigned.record("stale", 9.0);
   assigned = std::move(source);
   ASSERT_EQ(assigned.timings().size(), 1u);
@@ -338,7 +399,7 @@ TEST(RunManifest, NullConfigRendersNullFieldsAndCrossCuttingFamilies) {
 }
 
 TEST(RunManifest, StageTimesAndCacheVerdictRender) {
-  analysis::StageTimer timer;
+  net::StageTimer timer;
   timer.record("world", 3.25);
   analysis::RunManifestInfo info;
   info.tool = "unit_test";

@@ -381,6 +381,9 @@ TEST(ServeWorkload, TalliesAreDeterministicAcrossThreadCounts) {
     EXPECT_GT(report.throughput_qps, 0.0);
     EXPECT_GE(report.p99_nanos, report.p50_nanos);
     EXPECT_GE(report.max_nanos, report.p99_nanos);
+    // Unpaced, a request's schedule is its send: the generator is never
+    // late.
+    EXPECT_EQ(report.send_late_p99_nanos, 0u);
     for (const std::uint64_t nanos : report.latency_nanos) {
       EXPECT_NE(nanos, LoadReport::kUnanswered);
     }
@@ -529,8 +532,16 @@ TEST(ServeWorkload, LatencyIsTimedFromTheScheduledSend) {
     EXPECT_GE(report.latency_nanos[id] + tolerance,
               nanos(stall_end - scheduled_by))
         << "request " << id;
+    // Past the window's last free slot the client itself was held until
+    // the stall ended, and its send lateness shows the hold.
+    if (id >= kHeld + config.max_in_flight) {
+      EXPECT_GE(report.send_late_nanos[id] + tolerance,
+                nanos(stall_end - scheduled_by))
+          << "request " << id;
+    }
   }
   EXPECT_GE(inside, 40);
+  EXPECT_GT(report.send_late_p99_nanos, 0u);
 }
 
 }  // namespace

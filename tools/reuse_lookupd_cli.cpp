@@ -445,6 +445,8 @@ int main(int argc, char** argv) {
          << "  \"p99_nanos\": " << load.p99_nanos << ",\n"
          << "  \"p999_nanos\": " << load.p999_nanos << ",\n"
          << "  \"max_nanos\": " << load.max_nanos << ",\n"
+         << "  \"send_late_p50_nanos\": " << load.send_late_p50_nanos << ",\n"
+         << "  \"send_late_p99_nanos\": " << load.send_late_p99_nanos << ",\n"
          << "  \"snapshot\": {\n"
          << "    \"entries\": " << snapshot->entry_count() << ",\n"
          << "    \"buckets\": " << snapshot->bucket_count() << ",\n"
