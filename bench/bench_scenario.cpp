@@ -6,12 +6,15 @@
 //
 // For each jobs value in LIST (comma-separated; 0 = all hardware threads;
 // 1 is always measured first as the baseline) the scenario runs once as a
-// warmup and then --runs times measured, and the per-stage medians are
-// reported — a single sample is noise-dominated, and a noisy speedup figure
-// makes regressions unattributable. Product fingerprints must match across
+// warmup and then --runs times measured, and the run with the median total
+// is reported — a single sample is noise-dominated, and a noisy speedup
+// figure makes regressions unattributable. The median run's own stage map
+// is reported whole, so its stages sum to its total and each stage's
+// sub-stages to the stage, as they did in that run (per-stage medians
+// taken across runs need not). Product fingerprints must match across
 // every run at every jobs value (exit 1 otherwise — the determinism
 // contract is the whole point). Output:
-//   --out         BENCH_scenario.json: per-jobs median stage timings,
+//   --out         BENCH_scenario.json: per-jobs median-run stage timings,
 //                 speedups vs the serial baseline, hardware_jobs.
 //   --stages-out  CSV with every individual sample (jobs,run,stage,millis)
 //                 for CI artifact upload and offline analysis.
@@ -25,7 +28,6 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,23 +43,17 @@ namespace {
 using reuse::net::StageMillis;
 using reuse::net::StageTiming;
 
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const std::size_t n = values.size();
-  if (n == 0) return 0.0;
-  return n % 2 == 1 ? values[n / 2]
-                    : (values[n / 2 - 1] + values[n / 2]) / 2.0;
-}
-
+/// One measured run. A rung reports its median run: the one whose total is
+/// the median (the lower middle one for an even --runs).
 struct JobsReport {
   int jobs = 1;
   std::uint64_t fingerprint = 0;
-  double total_millis = 0.0;  ///< median over runs
-  /// Median wall-clock of the stages that recorded a wall scope.
+  double total_millis = 0.0;
+  /// Wall-clock of the stages that recorded a wall scope.
   StageMillis stages;
-  /// Median CPU attribution (cross-thread scope sums) for stages that
-  /// record it — kept apart from wall-clock so sub-stage attribution can
-  /// exceed its parent's wall without the report looking impossible.
+  /// CPU attribution (cross-thread scope sums) for stages that record it —
+  /// kept apart from wall-clock so sub-stage attribution can exceed its
+  /// parent's wall without the report looking impossible.
   StageMillis stages_cpu;
 };
 
@@ -140,14 +136,7 @@ int main(int argc, char** argv) {
       (void)warmup;
     }
 
-    JobsReport report;
-    report.jobs = jobs;
-    // Per-stage samples in first-seen stage order (run 0 defines it; every
-    // run executes the same stages).
-    std::vector<std::string> stage_order;
-    std::map<std::string, std::vector<double>> samples;
-    std::map<std::string, std::vector<double>> cpu_samples;
-    std::vector<double> totals;
+    std::vector<JobsReport> measured;
     for (int run = 0; run < runs; ++run) {
       std::cerr << "[bench_scenario] --jobs " << jobs << ": run " << (run + 1)
                 << "/" << runs << "...\n";
@@ -155,38 +144,28 @@ int main(int argc, char** argv) {
       const std::uint64_t fingerprint = analysis::products_fingerprint(
           scenario.crawl, scenario.ecosystem, scenario.fleet,
           scenario.pipeline, scenario.census);
-      if (report.fingerprint == 0) report.fingerprint = fingerprint;
-      if (fingerprint != report.fingerprint) {
+      if (!measured.empty() && fingerprint != measured.front().fingerprint) {
         std::cerr << "error: products differ between runs at --jobs " << jobs
-                  << " (fingerprints " << std::hex << report.fingerprint
-                  << " vs " << fingerprint << ")\n";
+                  << " (fingerprints " << std::hex
+                  << measured.front().fingerprint << " vs " << fingerprint
+                  << ")\n";
         return 1;
       }
-      totals.push_back(scenario.stage_times.total_millis());
       for (const StageTiming& timing : scenario.stage_times.timings()) {
-        if (std::find(stage_order.begin(), stage_order.end(), timing.stage) ==
-            stage_order.end()) {
-          stage_order.push_back(timing.stage);
-        }
-        // A CPU-only stage has no wall time to report.
-        if (timing.scopes > 0) samples[timing.stage].push_back(timing.millis);
-        if (timing.cpu_millis > 0.0) {
-          cpu_samples[timing.stage].push_back(timing.cpu_millis);
-        }
         csv << jobs << ',' << run << ',' << timing.stage << ','
             << timing.millis << ',' << timing.cpu_millis << '\n';
       }
+      measured.push_back(JobsReport{jobs, fingerprint,
+                                    scenario.stage_times.total_millis(),
+                                    scenario.stage_times.wall_map(),
+                                    scenario.stage_times.cpu_map()});
     }
-    report.total_millis = median(totals);
-    for (const std::string& stage : stage_order) {
-      if (const auto it = samples.find(stage); it != samples.end()) {
-        report.stages.emplace_back(stage, median(it->second));
-      }
-      if (const auto it = cpu_samples.find(stage); it != cpu_samples.end()) {
-        report.stages_cpu.emplace_back(stage, median(it->second));
-      }
-    }
-    reports.push_back(std::move(report));
+    const auto median = measured.begin() + (measured.size() - 1) / 2;
+    std::nth_element(measured.begin(), median, measured.end(),
+                     [](const JobsReport& a, const JobsReport& b) {
+                       return a.total_millis < b.total_millis;
+                     });
+    reports.push_back(std::move(*median));
   }
 
   // The determinism contract: identical products at every rung.

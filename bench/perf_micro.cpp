@@ -1,7 +1,8 @@
 // Microbenchmarks for the performance-sensitive building blocks
 // (google-benchmark). These back the engineering claims in DESIGN.md:
 // longest-prefix match and the DHT routing path are the hot loops when the
-// analysis joins millions of addresses.
+// analysis joins millions of addresses, and the census survey pings every
+// sampled address on the whole probe schedule.
 #include <benchmark/benchmark.h>
 
 #include <sstream>
@@ -9,8 +10,10 @@
 #include "blocklist/catalogue.h"
 #include "blocklist/ecosystem.h"
 #include "blocklist/store.h"
+#include "census/census.h"
 #include "dht/node_id.h"
 #include "dht/routing_table.h"
+#include "internet/world.h"
 #include "netbase/interval_set.h"
 #include "netbase/kneedle.h"
 #include "netbase/prefix_trie.h"
@@ -268,6 +271,21 @@ BENCHMARK(BM_EcosystemThroughputParallel)
     ->Arg(1)
     ->Arg(2)
     ->Arg(static_cast<int>(reuse::net::ThreadPool::hardware_jobs()));
+
+void BM_CensusSurvey(benchmark::State& state) {
+  // Probes per second of the ICMP census: the default 14-day, 2-hour survey
+  // of a quarter of a test-scale world's /24s, serial.
+  const inet::World world(inet::test_world_config(7));
+  const census::CensusConfig config;
+  std::uint64_t probes = 0;
+  for (auto _ : state) {
+    const census::CensusResult result = census::run_census(world, config);
+    probes += result.probes_sent;
+    benchmark::DoNotOptimize(result.responses);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(probes));
+}
+BENCHMARK(BM_CensusSurvey)->Unit(benchmark::kMillisecond);
 
 void BM_ParallelForOverhead(benchmark::State& state) {
   // Dispatch + join cost of parallel_for against a trivial body, at 1, 10

@@ -19,11 +19,15 @@ CrawlOutput run_scenario_crawl(const inet::World& world,
                                sim::FaultInjector* faults,
                                net::ThreadPool* pool,
                                StageTimer* stage_times) {
+  StageTimer unrecorded;
+  StageTimer& timer = stage_times != nullptr ? *stage_times : unrecorded;
   crawler::ShardedCrawlConfig sharded;
   sharded.base = config.crawl;
   if (config.restrict_crawler_to_blocklisted) {
     sharded.base.restricted = true;
-    sharded.base.restrict_to = store.blocklisted_slash24s();
+    timer.time("crawl.restrict", [&] {
+      sharded.base.restrict_to = store.blocklisted_slash24s();
+    });
   }
   sharded.dht = config.dht;
   sharded.window = net::TimeWindow{

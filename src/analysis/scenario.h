@@ -156,7 +156,8 @@ void publish_crawl_metrics(const CrawlOutput& crawl);
 /// presence the crawler restriction reads) and publishes its metrics.
 /// `faults` and `stage_times` are run_sharded_crawl's: both optional, the
 /// shard fault ledgers land in the one and the crawl.* sub-stages in the
-/// other.
+/// other, together with crawl.restrict, the wall time of building the
+/// restriction's blocklisted /24 set.
 [[nodiscard]] CrawlOutput run_scenario_crawl(
     const inet::World& world, const blocklist::SnapshotStore& store,
     const ScenarioConfig& config, sim::FaultInjector* faults,

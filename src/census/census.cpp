@@ -9,13 +9,14 @@ namespace reuse::census {
 
 namespace {
 
-/// Core metric fold over one address's probe row — a contiguous byte row of
-/// the block's flat response matrix (0 = silent, 1 = responded).
+/// Core metric fold over one address's probe row (0 = silent,
+/// 1 = responded). `uptimes` is a buffer the caller reuses across rows.
 AddressMetrics metrics_from_row(const std::uint8_t* row, std::size_t slots,
-                                net::Duration interval) {
+                                net::Duration interval,
+                                std::vector<std::int64_t>& uptimes) {
   AddressMetrics metrics;
   metrics.probes = static_cast<std::uint32_t>(slots);
-  std::vector<std::int64_t> uptimes;
+  uptimes.clear();
   std::int64_t run = 0;
   bool previous = false;
   for (std::size_t i = 0; i < slots; ++i) {
@@ -33,8 +34,9 @@ AddressMetrics metrics_from_row(const std::uint8_t* row, std::size_t slots,
   }
   if (run > 0) uptimes.push_back(run);
   if (!uptimes.empty()) {
-    std::sort(uptimes.begin(), uptimes.end());
-    metrics.median_uptime_seconds = uptimes[uptimes.size() / 2];
+    const auto median = uptimes.begin() + uptimes.size() / 2;
+    std::nth_element(uptimes.begin(), median, uptimes.end());
+    metrics.median_uptime_seconds = *median;
   }
   return metrics;
 }
@@ -44,7 +46,8 @@ AddressMetrics metrics_from_row(const std::uint8_t* row, std::size_t slots,
 AddressMetrics metrics_from_sequence(const std::vector<bool>& responses,
                                      net::Duration interval) {
   const std::vector<std::uint8_t> row(responses.begin(), responses.end());
-  return metrics_from_row(row.data(), row.size(), interval);
+  std::vector<std::int64_t> uptimes;
+  return metrics_from_row(row.data(), row.size(), interval, uptimes);
 }
 
 bool is_dynamic_block(const BlockMetrics& metrics, const DynamicBlockRule& rule) {
@@ -57,6 +60,64 @@ bool is_dynamic_block(const BlockMetrics& metrics, const DynamicBlockRule& rule)
 }
 
 namespace {
+
+/// The probe times every address is pinged at, in the forms the ping
+/// model's evaluators take. Built once per census and shared by all blocks.
+struct Schedule {
+  std::vector<std::int64_t> seconds;
+  std::vector<std::uint64_t> hours;  ///< seconds / 3600
+  std::vector<double> days;          ///< seconds / 86400.0
+};
+
+Schedule make_schedule(const CensusConfig& config) {
+  Schedule schedule;
+  const std::int64_t end = config.window.end.seconds();
+  for (std::int64_t t = config.window.begin.seconds(); t < end;
+       t += config.probe_interval.count()) {
+    schedule.seconds.push_back(t);
+    schedule.hours.push_back(static_cast<std::uint64_t>(t / 3600));
+    schedule.days.push_back(static_cast<double>(t) / 86400.0);
+  }
+  return schedule;
+}
+
+/// Writes whether `ping` answers at each probe of the schedule into `row`.
+void fill_row(const inet::AddressPing& ping, const Schedule& schedule,
+              std::uint8_t* row) {
+  const std::size_t slots = schedule.seconds.size();
+  switch (ping.kind()) {
+    case inet::AddressPing::Kind::kSilent:
+      std::fill(row, row + slots, 0);
+      return;
+    case inet::AddressPing::Kind::kAlwaysUp:
+      std::fill(row, row + slots, 1);
+      return;
+    case inet::AddressPing::Kind::kHourly:
+      for (std::size_t s = 0; s < slots; ++s) {
+        row[s] = ping.hourly_at(schedule.hours[s]) ? 1 : 0;
+      }
+      return;
+    case inet::AddressPing::Kind::kDiurnal:
+      for (std::size_t s = 0; s < slots; ++s) {
+        row[s] = ping.diurnal_at(schedule.days[s]) ? 1 : 0;
+      }
+      return;
+    case inet::AddressPing::Kind::kLease: {
+      // The two lease draws change only when the lease slot does.
+      std::uint64_t lease = 0;
+      bool up = false;
+      for (std::size_t s = 0; s < slots; ++s) {
+        const std::uint64_t slot = ping.lease_slot(schedule.seconds[s]);
+        if (s == 0 || slot != lease) {
+          lease = slot;
+          up = ping.leased_at(slot);
+        }
+        row[s] = up ? 1 : 0;
+      }
+      return;
+    }
+  }
+}
 
 /// Survey of one sampled /24: the aggregate metrics plus the raw probe
 /// counters that fold into the result totals. Pure function of
@@ -71,38 +132,27 @@ struct BlockOutcome {
 };
 
 BlockOutcome survey_block(const inet::PingModel& model,
-                          const CensusConfig& config,
+                          const Schedule& schedule, const CensusConfig& config,
                           const DynamicBlockRule& rule,
                           net::Ipv4Prefix block) {
-  const std::int64_t begin = config.window.begin.seconds();
-  const std::int64_t end = config.window.end.seconds();
-  const std::int64_t step = config.probe_interval.count();
-
+  const std::size_t slots = schedule.seconds.size();
   BlockOutcome out;
   BlockMetrics& aggregate = out.metrics;
   aggregate.block = block;
   double availability_sum = 0.0;
   double volatility_sum = 0.0;
-  // Flat response matrix: one byte per (address, probe slot), one allocation
-  // per block instead of a bit-vector rebuild per address. Rows are
-  // contiguous, so the metric fold below streams cache lines in order.
-  const std::size_t slots =
-      end > begin
-          ? static_cast<std::size_t>((end - begin + step - 1) / step)
-          : 0;
-  std::vector<std::uint8_t> matrix(static_cast<std::size_t>(block.size()) *
-                                   slots);
+  // One row and one uptime buffer, reused by every address of the block.
+  std::vector<std::uint8_t> row(slots);
+  std::vector<std::int64_t> uptimes;
   std::vector<std::int64_t> block_uptimes;
   for (std::uint64_t offset = 0; offset < block.size(); ++offset) {
-    const net::Ipv4Address address = block.address_at(offset);
-    std::uint8_t* row = matrix.data() + offset * slots;
-    std::size_t s = 0;
-    for (std::int64_t t = begin; t < end; t += step) {
-      row[s++] = model.responds(address, net::SimTime(t)) ? 1 : 0;
-    }
     out.probes_sent += slots;
+    const inet::AddressPing ping = model.resolve(block.address_at(offset));
+    // A silent address answers no probe: nothing to fill or fold.
+    if (ping.kind() == inet::AddressPing::Kind::kSilent) continue;
+    fill_row(ping, schedule, row.data());
     const AddressMetrics metrics =
-        metrics_from_row(row, slots, config.probe_interval);
+        metrics_from_row(row.data(), slots, config.probe_interval, uptimes);
     out.responses += metrics.responses;
     if (metrics.responses == 0) continue;
     ++aggregate.responsive_addresses;
@@ -115,8 +165,9 @@ BlockOutcome survey_block(const inet::PingModel& model,
   aggregate.mean_availability =
       availability_sum / aggregate.responsive_addresses;
   aggregate.mean_volatility = volatility_sum / aggregate.responsive_addresses;
-  std::sort(block_uptimes.begin(), block_uptimes.end());
-  aggregate.median_uptime_seconds = block_uptimes[block_uptimes.size() / 2];
+  const auto median = block_uptimes.begin() + block_uptimes.size() / 2;
+  std::nth_element(block_uptimes.begin(), median, block_uptimes.end());
+  aggregate.median_uptime_seconds = *median;
   out.dynamic_block = is_dynamic_block(aggregate, rule);
   return out;
 }
@@ -128,6 +179,7 @@ CensusResult run_census(const inet::World& world, const CensusConfig& config,
   CensusResult result;
   net::Rng rng(config.seed);
   const inet::PingModel model(world, config.seed ^ 0x9137ULL);
+  const Schedule schedule = make_schedule(config);
 
   // Collect every assigned /24, then sample. The sampling draw stays on the
   // serial prologue's generator: the chosen set is independent of pool size.
@@ -144,7 +196,8 @@ CensusResult run_census(const inet::World& world, const CensusConfig& config,
 
   std::vector<BlockOutcome> outcomes(chosen.size());
   net::for_each_index(pool, chosen.size(), [&](std::size_t i) {
-    outcomes[i] = survey_block(model, config, rule, all_blocks[chosen[i]]);
+    outcomes[i] =
+        survey_block(model, schedule, config, rule, all_blocks[chosen[i]]);
   });
 
   // Merge in sample order — identical block/insert order to a serial run.

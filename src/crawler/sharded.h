@@ -98,13 +98,13 @@ struct CrawlOutput {
 /// into `faults`, so its stats() span the crawl. A null or empty-plan
 /// injector injects nothing.
 ///
-/// `stage_times` (optional) receives the crawl's sub-stages. crawl.overlay,
-/// crawl.shards and crawl.merge are wall-clock on the calling thread and
-/// partition the call. crawl.build (replica set-up, injector, churn) and
-/// crawl.events (event-queue execution) are each shard thread's CPU time,
-/// summed over shards: they say where the work inside crawl.shards went,
-/// not how long it took, and do not grow while pool workers wait for a
-/// core.
+/// `stage_times` (optional) receives the crawl's sub-stages. crawl.overlay
+/// (the overlay's build and its release), crawl.shards and crawl.merge are
+/// wall-clock on the calling thread and partition the call. crawl.build
+/// (replica set-up, injector, churn) and crawl.events (event-queue
+/// execution) are each shard thread's CPU time, summed over shards: they
+/// say where the work inside crawl.shards went, not how long it took, and
+/// do not grow while pool workers wait for a core.
 [[nodiscard]] CrawlOutput run_sharded_crawl(const inet::World& world,
                                             const ShardedCrawlConfig& config,
                                             sim::FaultInjector* faults,

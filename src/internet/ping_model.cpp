@@ -1,18 +1,18 @@
 #include "internet/ping_model.h"
 
-#include <cmath>
-
-#include "netbase/rng.h"
+#include <algorithm>
 
 namespace reuse::inet {
 namespace {
 
-// Stateless mixing of several 64-bit values into one (splitmix finalizer
-// chain) — gives an independent uniform draw per (address, salt, slot).
-std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  std::uint64_t state = a ^ (b * 0x9e3779b97f4a7c15ULL) ^
-                        (c * 0xc2b2ae3d27d4eb4fULL);
-  return net::splitmix64(state);
+constexpr std::uint64_t kAddressMultiplier = 0x9e3779b97f4a7c15ULL;
+
+// Every draw is splitmix64 of `address_key(seed, address) ^ salt *
+// AddressPing::kSlotMultiplier`: a stateless mix that gives an independent
+// uniform draw per (seed, address, salt), where the salt is a fixed
+// per-address salt or a time slot.
+std::uint64_t address_key(std::uint64_t seed, net::Ipv4Address address) {
+  return seed ^ (std::uint64_t{address.value()} * kAddressMultiplier);
 }
 
 double to_unit(std::uint64_t h) {
@@ -21,69 +21,98 @@ double to_unit(std::uint64_t h) {
 
 }  // namespace
 
-double PingModel::unit_hash(net::Ipv4Address address, std::uint64_t salt) const {
-  return to_unit(mix(seed_, address.value(), salt));
+bool AddressPing::at(net::SimTime t) const {
+  switch (kind_) {
+    case Kind::kSilent:
+      return false;
+    case Kind::kAlwaysUp:
+      return true;
+    case Kind::kHourly:
+      return hourly_at(static_cast<std::uint64_t>(t.seconds() / 3600));
+    case Kind::kDiurnal:
+      return diurnal_at(static_cast<double>(t.seconds()) / 86400.0);
+    case Kind::kLease:
+      return leased_at(lease_slot(t.seconds()));
+  }
+  return false;
 }
 
-bool PingModel::responds(net::Ipv4Address address, net::SimTime t) const {
+AddressPing PingModel::resolve(net::Ipv4Address address) const {
+  AddressPing ping;
   const PrefixRecord* record = world_.prefix_record(address);
-  if (record == nullptr || record->role == PrefixRole::kUnused) return false;
+  if (record == nullptr || record->role == PrefixRole::kUnused) return ping;
   const AsInfo* as_info = world_.find_as(record->asn);
-  if (as_info != nullptr && as_info->filters_icmp) return false;
+  if (as_info != nullptr && as_info->filters_icmp) return ping;
+
+  const std::uint64_t key = address_key(seed_, address);
+  auto state = [&](std::uint64_t salt) {
+    return key ^ (salt * AddressPing::kSlotMultiplier);
+  };
+  // The per-address draws: a Bernoulli trial, or a uniform [0, 1) parameter.
+  auto drawn = [&](std::uint64_t salt, double probability) {
+    return AddressPing::below(state(salt),
+                              net::Rng::bernoulli_threshold(probability));
+  };
+  auto unit_hash = [&](std::uint64_t salt) {
+    std::uint64_t s = state(salt);
+    return to_unit(net::splitmix64(s));
+  };
+  auto hourly = [&](std::uint64_t salt, double probability) {
+    ping.kind_ = AddressPing::Kind::kHourly;
+    ping.key_ = key;
+    ping.salt_ = salt;
+    ping.threshold_ = net::Rng::bernoulli_threshold(probability);
+  };
 
   switch (record->role) {
-    case PrefixRole::kServerHosting: {
+    case PrefixRole::kServerHosting:
       // A server exists at this offset with probability density/256; servers
       // answer nearly always.
-      const bool exists = unit_hash(address, 1) <
-                          static_cast<double>(record->density) / 256.0;
-      return exists && unit_hash(address, 2 + static_cast<std::uint64_t>(
-                                                  t.seconds() / 3600)) < 0.98;
-    }
-    case PrefixRole::kStaticResidential: {
-      if (!world_.is_static_occupied(address)) return false;
+      if (drawn(1, static_cast<double>(record->density) / 256.0)) {
+        hourly(2, 0.98);
+      }
+      break;
+    case PrefixRole::kStaticResidential:
+      if (!world_.is_static_occupied(address)) break;
       // 30% of residential hosts are always-on; the rest follow a diurnal
       // duty cycle with a per-host online fraction.
-      if (unit_hash(address, 3) < 0.30) return true;
-      const double online_fraction = 0.2 + 0.5 * unit_hash(address, 4);
-      const double phase = unit_hash(address, 5);
-      const double day_position = std::fmod(
-          static_cast<double>(t.seconds()) / 86400.0 + phase, 1.0);
-      return day_position < online_fraction;
-    }
-    case PrefixRole::kHomeNatResidential: {
+      if (drawn(3, 0.30)) {
+        ping.kind_ = AddressPing::Kind::kAlwaysUp;
+        break;
+      }
+      ping.kind_ = AddressPing::Kind::kDiurnal;
+      ping.online_fraction_ = 0.2 + 0.5 * unit_hash(4);
+      ping.phase_ = unit_hash(5);
+      break;
+    case PrefixRole::kHomeNatResidential:
       // The CPE answers pings on behalf of the household — a middlebox reply,
       // one of the census's documented confusions.
-      if (!world_.nat_group_fanout(address)) return false;
-      return unit_hash(address, 6 + static_cast<std::uint64_t>(
-                                        t.seconds() / 3600)) < 0.95;
-    }
+      if (world_.nat_group_fanout(address)) hourly(6, 0.95);
+      break;
     case PrefixRole::kCgnPool:
       // The carrier NAT itself replies: looks like a rock-stable host even
       // though dozens of users churn behind it.
-      return unit_hash(address, 7 + static_cast<std::uint64_t>(
-                                        t.seconds() / 3600)) < 0.99;
+      hourly(7, 0.99);
+      break;
     case PrefixRole::kDynamicPool: {
       // The address answers only while leased to an online subscriber. The
       // occupied/idle pattern flips on the pool's lease timescale, which is
       // what gives dynamic blocks their high volatility signature.
       const DynamicPoolInfo& pool = world_.pool(record->pool_index);
-      const auto slot = static_cast<std::uint64_t>(
-          static_cast<double>(t.seconds()) /
-          std::max(60.0, pool.mean_lease_seconds));
-      const double occupied =
-          world_.config().dynamic_subscription_ratio;
-      if (to_unit(mix(seed_ ^ 0xd1eaf, address.value(), slot)) >= occupied) {
-        return false;
-      }
+      ping.kind_ = AddressPing::Kind::kLease;
+      ping.lease_seconds_ = std::max(60.0, pool.mean_lease_seconds);
+      ping.key_ = address_key(seed_ ^ 0xd1eaf, address);
+      ping.threshold_ = net::Rng::bernoulli_threshold(
+          world_.config().dynamic_subscription_ratio);
       // Leaseholder online?
-      return to_unit(mix(seed_ ^ 0x0111eULL, address.value(), slot * 31 + 7)) <
-             0.7;
+      ping.online_key_ = address_key(seed_ ^ 0x0111eULL, address);
+      ping.online_threshold_ = net::Rng::bernoulli_threshold(0.7);
+      break;
     }
     case PrefixRole::kUnused:
-      return false;
+      break;
   }
-  return false;
+  return ping;
 }
 
 }  // namespace reuse::inet

@@ -340,6 +340,35 @@ TEST(StageTimer, CrawlCpuNeverExceedsWallTimesThreads) {
   EXPECT_LE(crawl_cpu(pooled), pooled.millis("crawl.shards") * 5);
 }
 
+TEST(StageTimer, CrawlWallSubStagesPartitionTheCrawl) {
+  // The restrict-set build is a sub-stage too, so the wall sub-stages
+  // account for the whole crawl scope up to the scope bookkeeping.
+  analysis::ScenarioConfig config = analysis::test_scenario_config(7);
+  config.world.as_count = 20;
+  config.crawl_days = 1;
+  config.restrict_crawler_to_blocklisted = true;
+  const inet::World world(config.world);
+  const blocklist::SnapshotStore store;
+  net::StageTimer timer;
+  (void)timer.time("crawl", [&] {
+    return analysis::run_scenario_crawl(world, store, config, nullptr,
+                                        nullptr, &timer);
+  });
+  std::vector<std::string> wall_substages;
+  double substage_sum = 0.0;
+  for (const net::StageTiming& timing : timer.timings()) {
+    if (timing.stage.rfind("crawl.", 0) != 0 || timing.scopes == 0) continue;
+    wall_substages.push_back(timing.stage);
+    substage_sum += timing.millis;
+  }
+  EXPECT_EQ(wall_substages,
+            (std::vector<std::string>{"crawl.restrict", "crawl.overlay",
+                                      "crawl.shards", "crawl.merge"}));
+  EXPECT_LE(substage_sum, timer.millis("crawl"));
+  EXPECT_LE(timer.millis("crawl") - substage_sum,
+            1.0 + 0.05 * timer.millis("crawl"));
+}
+
 TEST(StageTimer, ConcurrentRecordsFromShardWorkersAllLand) {
   // The sharded crawl records sub-stage scopes from pool workers while the
   // scenario thread owns the enclosing scope; nothing may be lost or torn.
