@@ -47,7 +47,7 @@ int main() {
       }
     }
     table.add_row(
-        {"/" + std::to_string(width),
+        {std::string("/").append(std::to_string(width)),
          std::to_string(result.dynamic_prefixes.size()),
          net::with_thousands(static_cast<std::int64_t>(covered)),
          covered == 0 ? "n/a"

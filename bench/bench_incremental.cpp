@@ -26,12 +26,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "analysis/cache.h"
+#include "analysis/manifest.h"
 #include "analysis/scenario.h"
 #include "netbase/flags.h"
 #include "netbase/json.h"
@@ -108,7 +107,6 @@ int main(int argc, char** argv) {
   net::StageTimer legs;
   const analysis::CachedScenario base = legs.time(
       "base", [&] { return analysis::run_scenario_cached(config, base_path); });
-  const double base_millis = legs.millis("base");
   if (base.cache_hit) {
     std::cerr << "error: base leg hit a cache that was just removed\n";
     return 1;
@@ -187,45 +185,38 @@ int main(int argc, char** argv) {
       resume_millis > 0.0 ? fresh_millis / resume_millis : 0.0;
   const double apply_speedup =
       apply_millis > 0.0 ? rebuild_millis / apply_millis : 0.0;
-  std::ostringstream json;
-  json.precision(3);
-  json << std::fixed;
-  json << "{\n"
-       << "  \"seed\": " << config.seed << ",\n"
-       << "  \"as_count\": " << config.world.as_count << ",\n"
-       << "  \"probe_count\": " << config.fleet.probe_count << ",\n"
-       << "  \"base_days\": " << base_days << ",\n"
-       << "  \"extra_days\": " << extra_days << ",\n"
-       << "  \"jobs\": " << config.jobs << ",\n"
-       << "  \"hardware_jobs\": " << net::ThreadPool::hardware_jobs() << ",\n"
-       << "  \"base_millis\": " << base_millis << ",\n"
-       << "  \"fresh_millis\": " << fresh_millis << ",\n"
-       << "  \"resume_millis\": " << resume_millis << ",\n"
-       << "  \"resume_speedup\": " << resume_speedup << ",\n"
-       << "  \"fingerprints_match\": true,\n"
-       << "  \"products_fingerprint\": \"" << net::hex16(fresh_fingerprint)
-       << "\",\n"
-       << "  \"delta\": {\n"
-       << "    \"removed\": " << delta.removed_count() << ",\n"
-       << "    \"upserts\": " << delta.upsert_count() << ",\n"
-       << "    \"dynamic24_removed\": " << delta.dynamic24_removed_count()
-       << ",\n"
-       << "    \"dynamic24_added\": " << delta.dynamic24_added_count() << ",\n"
-       << "    \"apply_millis\": " << apply_millis << ",\n"
-       << "    \"rebuild_millis\": " << rebuild_millis << ",\n"
-       << "    \"apply_speedup\": " << apply_speedup << ",\n"
-       << "    \"fingerprint_match\": true\n"
-       << "  }\n"
-       << "}\n";
+  net::JsonWriter json;
+  json.begin_object();
+  analysis::write_run_header(json, "bench_incremental", &config);
+  const std::string text =
+      json.field("base_days", base_days)
+          .field("extra_days", extra_days)
+          .field("jobs", config.jobs)
+          .field("base_millis", legs.millis("base"))
+          .field("fresh_millis", fresh_millis)
+          .field("resume_millis", resume_millis)
+          .field("resume_speedup", resume_speedup)
+          .field("fingerprints_match", true)
+          .field("products_fingerprint", net::hex16(fresh_fingerprint))
+          .key("delta").begin_object()
+          .field("removed", delta.removed_count())
+          .field("upserts", delta.upsert_count())
+          .field("dynamic24_removed", delta.dynamic24_removed_count())
+          .field("dynamic24_added", delta.dynamic24_added_count())
+          .field("apply_millis", apply_millis)
+          .field("rebuild_millis", rebuild_millis)
+          .field("apply_speedup", apply_speedup)
+          .field("fingerprint_match", true)
+          .end()
+          .end()
+          .str();
 
   const std::string out_path = flags.get("out");
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "error: cannot write " << out_path << '\n';
+  if (const auto error = analysis::write_report_file(out_path, text)) {
+    std::cerr << "error: " << *error << '\n';
     return 1;
   }
-  out << json.str();
-  std::cout << json.str();
+  std::cout << text;
   std::cerr << "[bench_incremental] wrote " << out_path << " (resume "
             << resume_speedup << "x, delta apply " << apply_speedup << "x)\n";
   return 0;

@@ -14,8 +14,9 @@
 // taken across runs need not). Product fingerprints must match across
 // every run at every jobs value (exit 1 otherwise — the determinism
 // contract is the whole point). Output:
-//   --out         BENCH_scenario.json: per-jobs median-run stage timings,
-//                 speedups vs the serial baseline, hardware_jobs.
+//   --out         BENCH_scenario.json: the run header (hardware_jobs among
+//                 it), per-jobs median-run stage timings and speedups vs
+//                 the serial baseline.
 //   --stages-out  CSV with every individual sample (jobs,run,stage,millis)
 //                 for CI artifact upload and offline analysis.
 //
@@ -26,12 +27,12 @@
 // (threads cannot beat physics), which is why CI gates the speedup only
 // when the runner has the cores to back it.
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "analysis/manifest.h"
 #include "analysis/scenario.h"
 #include "netbase/flags.h"
 #include "netbase/json.h"
@@ -180,44 +181,30 @@ int main(int argc, char** argv) {
   }
 
   const double serial_millis = reports.front().total_millis;
-  std::ostringstream json;
-  json.precision(3);
-  json << std::fixed;
-  json << "{\n"
-       << "  \"seed\": " << config.seed << ",\n"
-       << "  \"as_count\": " << config.world.as_count << ",\n"
-       << "  \"probe_count\": " << config.fleet.probe_count << ",\n"
-       << "  \"crawl_shards\": " << config.crawl_shards << ",\n"
-       << "  \"runs\": " << runs << ",\n"
-       << "  \"warmup_runs\": 1,\n"
-       << "  \"hardware_jobs\": " << net::ThreadPool::hardware_jobs() << ",\n"
-       << "  \"products_fingerprint\": \""
-       << net::hex16(reports.front().fingerprint) << "\",\n"
-       << "  \"fingerprints_match\": true,\n"
-       << "  \"timings\": {";
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const JobsReport& report = reports[i];
-    if (i > 0) json << ",";
-    json << "\n    \"" << report.jobs << "\": {\"total_millis\": "
-         << report.total_millis << ", \"stages\": ";
-    net::write_stage_map(json, report.stages);
-    if (!report.stages_cpu.empty()) {
-      json << ", \"stages_cpu\": ";
-      net::write_stage_map(json, report.stages_cpu);
-    }
-    json << "}";
+  net::JsonWriter json;
+  json.begin_object();
+  analysis::write_run_header(json, "bench_scenario", &config);
+  json.field("crawl_shards", config.crawl_shards)
+      .field("runs", runs)
+      .field("warmup_runs", 1)
+      .field("products_fingerprint", net::hex16(reports.front().fingerprint))
+      .field("fingerprints_match", true)
+      .key("timings").begin_object();
+  for (const JobsReport& report : reports) {
+    json.key(std::to_string(report.jobs)).begin_object()
+        .field("total_millis", report.total_millis)
+        .field("stages", report.stages);
+    if (!report.stages_cpu.empty()) json.field("stages_cpu", report.stages_cpu);
+    json.end();
   }
-  json << "\n  },\n  \"speedups\": {";
+  json.end().key("speedups").begin_object();
   double jobs2_speedup = 0.0;
-  bool first = true;
   for (const JobsReport& report : reports) {
     if (report.jobs == 1) continue;
     const double speedup =
         report.total_millis > 0.0 ? serial_millis / report.total_millis : 0.0;
     if (report.jobs == 2) jobs2_speedup = speedup;
-    if (!first) json << ", ";
-    first = false;
-    json << '"' << report.jobs << "\": " << speedup;
+    json.field(std::to_string(report.jobs), speedup);
   }
   // Kept for older tooling: "speedup" is the --jobs 2 rung (the CI-gated
   // one), or the first non-serial rung when 2 was not measured.
@@ -227,24 +214,17 @@ int main(int argc, char** argv) {
                    ? serial_millis / reports[1].total_millis
                    : 0.0;
   }
-  json << "},\n  \"speedup\": " << headline << "\n}\n";
+  const std::string text = json.end().field("speedup", headline).end().str();
 
   const std::string out_path = flags.get("out");
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "error: cannot write " << out_path << '\n';
-    return 1;
-  }
-  out << json.str();
-  std::cout << json.str();
-
   const std::string stages_path = flags.get("stages-out");
-  std::ofstream stages_out(stages_path);
-  if (!stages_out) {
-    std::cerr << "error: cannot write " << stages_path << '\n';
+  auto error = analysis::write_report_file(out_path, text);
+  if (!error) error = analysis::write_report_file(stages_path, csv.str());
+  if (error) {
+    std::cerr << "error: " << *error << '\n';
     return 1;
   }
-  stages_out << csv.str();
+  std::cout << text;
   std::cerr << "[bench_scenario] wrote " << out_path << " and " << stages_path
             << " (headline speedup " << headline << "x)\n";
   return 0;

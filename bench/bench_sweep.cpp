@@ -14,12 +14,12 @@
 //   fingerprint_match == true   cold and warm reports agree byte-for-byte
 //                               on every deterministic field
 //
-// Output: BENCH_sweep.json (cold/warm millis, cells/sec, hit ratio).
+// Output: BENCH_sweep.json (the run header of the base config, cold/warm
+// millis, cells/sec, hit ratio).
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
+#include "analysis/manifest.h"
 #include "analysis/presets.h"
 #include "netbase/flags.h"
 #include "netbase/json.h"
@@ -101,39 +101,33 @@ int main(int argc, char** argv) {
       cold_millis > 0.0 ? 1000.0 * static_cast<double>(cells) / cold_millis
                         : 0.0;
 
-  std::ostringstream json;
-  json.precision(3);
-  json << std::fixed;
-  json << "{\n"
-       << "  \"seed\": " << config.base.seed << ",\n"
-       << "  \"as_count\": " << config.base.world.as_count << ",\n"
-       << "  \"probe_count\": " << config.base.fleet.probe_count << ",\n"
-       << "  \"jobs\": " << config.jobs << ",\n"
-       << "  \"cells\": " << cells << ",\n"
-       << "  \"cells_failed\": " << failed << ",\n"
-       << "  \"cold_millis\": " << cold_millis << ",\n"
-       << "  \"warm_millis\": " << warm_millis << ",\n"
-       << "  \"warm_speedup\": " << warm_speedup << ",\n"
-       << "  \"cold_cells_per_sec\": " << cold_cells_per_sec << ",\n"
-       << "  \"cold_fresh\": " << cold.fresh << ",\n"
-       << "  \"cold_resumed\": " << cold.resumed << ",\n"
-       << "  \"warm_cache_hits\": " << warm.cache_hits << ",\n"
-       << "  \"warm_cache_hit_ratio\": " << warm_hit_ratio << ",\n"
-       << "  \"cache_dir_bytes\": " << warm.cache_dir_bytes << ",\n"
-       << "  \"fingerprint_match\": "
-       << (fingerprint_match ? "true" : "false") << ",\n"
-       << "  \"report_fingerprint\": \""
-       << net::hex16(cold.report_fingerprint) << "\"\n"
-       << "}\n";
+  net::JsonWriter json;
+  json.begin_object();
+  analysis::write_run_header(json, "bench_sweep", &config.base);
+  const std::string text =
+      json.field("jobs", config.jobs)
+          .field("cells", cells)
+          .field("cells_failed", failed)
+          .field("cold_millis", cold_millis)
+          .field("warm_millis", warm_millis)
+          .field("warm_speedup", warm_speedup)
+          .field("cold_cells_per_sec", cold_cells_per_sec)
+          .field("cold_fresh", cold.fresh)
+          .field("cold_resumed", cold.resumed)
+          .field("warm_cache_hits", warm.cache_hits)
+          .field("warm_cache_hit_ratio", warm_hit_ratio)
+          .field("cache_dir_bytes", warm.cache_dir_bytes)
+          .field("fingerprint_match", fingerprint_match)
+          .field("report_fingerprint", net::hex16(cold.report_fingerprint))
+          .end()
+          .str();
 
   const std::string out_path = flags.get("out");
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "error: cannot write " << out_path << '\n';
+  if (const auto error = analysis::write_report_file(out_path, text)) {
+    std::cerr << "error: " << *error << '\n';
     return 1;
   }
-  out << json.str();
-  std::cout << json.str();
+  std::cout << text;
   std::cerr << "[bench_sweep] wrote " << out_path << " (warm " << warm_speedup
             << "x, hit ratio " << warm_hit_ratio << ")\n";
   if (failed != 0) {

@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/manifest.h"
 #include "analysis/scenario.h"
 #include "netbase/flags.h"
 #include "netbase/json.h"
@@ -246,59 +247,21 @@ int main(int argc, char** argv) {
         std::max(peak_rss_bytes, reports.at(spec.name).number("peak_rss_bytes"));
   }
 
-  std::ostringstream json;
-  json.precision(3);
-  json << std::fixed;
-  json << "{\n"
-       << "  \"seed\": " << flags.get_int("seed").value_or(42) << ",\n"
-       << "  \"as_count\": " << config.world.as_count << ",\n"
-       << "  \"probe_count\": " << config.fleet.probe_count << ",\n"
-       << "  \"addresses\": " << static_cast<std::uint64_t>(addresses)
-       << ",\n"
-       << "  \"addresses_per_sec\": " << addresses_per_sec << ",\n"
-       << "  \"peak_rss_bytes\": "
-       << static_cast<std::uint64_t>(peak_rss_bytes) << ",\n"
-       << "  \"rss_growth_days2x\": " << rss_growth << ",\n"
-       << "  \"fingerprint_match_jobs_1_8\": "
-       << (fingerprints_match ? "true" : "false") << ",\n"
-       << "  \"products_fingerprint\": \""
-       << net::json_escape(base.text("fingerprint")) << "\",\n"
-       << "  \"runs\": {";
-  bool first_run = true;
+  net::JsonWriter json;
+  json.begin_object();
+  analysis::write_run_header(json, "bench_worldscale", &config);
+  json.field("addresses", static_cast<std::uint64_t>(addresses))
+      .field("addresses_per_sec", addresses_per_sec)
+      .field("peak_rss_bytes", static_cast<std::uint64_t>(peak_rss_bytes))
+      .field("rss_growth_days2x", rss_growth)
+      .field("fingerprint_match_jobs_1_8", fingerprints_match)
+      .field("products_fingerprint", base.text("fingerprint"))
+      .key("runs").begin_object();
   for (const RunSpec& spec : specs) {
     const RunReport& report = reports.at(spec.name);
-    if (!first_run) json << ",";
-    first_run = false;
-    json << "\n    \"" << spec.name << "\": {\n"
-         << "      \"jobs\": " << spec.jobs << ",\n"
-         << "      \"eco_days\": "
-         << static_cast<std::int64_t>(report.number("eco_days")) << ",\n"
-         << "      \"addresses\": "
-         << static_cast<std::uint64_t>(report.number("addresses")) << ",\n"
-         << "      \"peak_rss_bytes\": "
-         << static_cast<std::uint64_t>(report.number("peak_rss_bytes"))
-         << ",\n"
-         << "      \"total_millis\": " << report.number("total_millis")
-         << ",\n"
-         << "      \"fleet_records\": "
-         << static_cast<std::uint64_t>(report.number("fleet_records"))
-         << ",\n"
-         << "      \"fleet_runs\": "
-         << static_cast<std::uint64_t>(report.number("fleet_runs")) << ",\n"
-         << "      \"fleet_log_bytes\": "
-         << static_cast<std::uint64_t>(report.number("fleet_log_bytes"))
-         << ",\n"
-         << "      \"store_listings\": "
-         << static_cast<std::uint64_t>(report.number("store_listings"))
-         << ",\n"
-         << "      \"store_bytes\": "
-         << static_cast<std::uint64_t>(report.number("store_bytes")) << ",\n"
-         << "      \"products_fingerprint\": \""
-         << net::json_escape(report.text("fingerprint")) << "\",\n"
-         << "      \"stages\": ";
-    net::write_stage_map(json, report.stages);
-    json << ",\n      \"stages_cpu\": ";
-    net::write_stage_map(json, report.stages_cpu);
+    const auto count = [&report](const std::string& key) {
+      return static_cast<std::uint64_t>(report.number(key));
+    };
     // Per-stage throughput for the top-level stages ('.'-prefixed sub-stages
     // are already counted inside their parent).
     StageMillis per_sec;
@@ -310,19 +273,29 @@ int main(int argc, char** argv) {
           stage, millis >= 1.0 ? report.number("addresses") / (millis / 1000.0)
                                : 0.0);
     }
-    json << ",\n      \"stage_addresses_per_sec\": ";
-    net::write_stage_map(json, per_sec);
-    json << "\n    }";
+    json.key(spec.name).begin_object()
+        .field("jobs", spec.jobs)
+        .field("eco_days", count("eco_days"))
+        .field("addresses", count("addresses"))
+        .field("peak_rss_bytes", count("peak_rss_bytes"))
+        .field("total_millis", report.number("total_millis"))
+        .field("fleet_records", count("fleet_records"))
+        .field("fleet_runs", count("fleet_runs"))
+        .field("fleet_log_bytes", count("fleet_log_bytes"))
+        .field("store_listings", count("store_listings"))
+        .field("store_bytes", count("store_bytes"))
+        .field("products_fingerprint", report.text("fingerprint"))
+        .field("stages", report.stages)
+        .field("stages_cpu", report.stages_cpu)
+        .field("stage_addresses_per_sec", per_sec)
+        .end();
   }
-  json << "\n  }\n}\n";
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "error: cannot write " << out_path << '\n';
+  const std::string text = json.end().end().str();
+  if (const auto error = analysis::write_report_file(out_path, text)) {
+    std::cerr << "error: " << *error << '\n';
     return 1;
   }
-  out << json.str();
-  std::cout << json.str();
+  std::cout << text;
 
   if (!fingerprints_match) {
     std::cerr << "error: products differ between --jobs 1 and --jobs 8 ("

@@ -614,16 +614,20 @@ std::optional<std::string> preflight_cache_path(const std::string& path) {
   return std::nullopt;
 }
 
-std::string default_cache_path(const ScenarioConfig& config) {
+std::string cache_file_name(const ScenarioConfig& config) {
   char name[80];
   std::snprintf(name, sizeof(name), "reuse_scenario_%llu_%016llx.cache",
                 static_cast<unsigned long long>(config.seed),
                 static_cast<unsigned long long>(config_fingerprint(config)));
-  const char* cache_dir = std::getenv("REUSE_CACHE_DIR");
-  if (cache_dir != nullptr && *cache_dir != '\0') {
-    return (std::filesystem::path(cache_dir) / name).string();
-  }
   return name;
+}
+
+std::string default_cache_path(const ScenarioConfig& config) {
+  const char* cache_dir = std::getenv("REUSE_CACHE_DIR");
+  if (cache_dir == nullptr || *cache_dir == '\0') {
+    return cache_file_name(config);
+  }
+  return (std::filesystem::path(cache_dir) / cache_file_name(config)).string();
 }
 
 Scenario run_scenario_cached(ScenarioConfig config, const std::string& path) {

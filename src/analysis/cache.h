@@ -88,11 +88,15 @@ bool save_scenario_cache(const std::string& path, const ScenarioConfig& config,
 /// The name the cache's callers have always used for its result type.
 using CachedScenario = Scenario;
 
-/// Standard cache location for the bench binaries:
-/// `reuse_scenario_<seed>_<fingerprint>.cache`, placed in $REUSE_CACHE_DIR
-/// when that environment variable is set, else the working directory.
-/// Distinct configurations map to distinct files, so two benches with
-/// different knobs never share or evict each other's cache.
+/// The one cache file name, `reuse_scenario_<seed>_<fingerprint>.cache`
+/// (fingerprint as 16 hex digits). Distinct configurations map to distinct
+/// names, so two benches with different knobs never share or evict each
+/// other's cache.
+[[nodiscard]] std::string cache_file_name(const ScenarioConfig& config);
+
+/// Standard cache location for the bench binaries: cache_file_name(),
+/// placed in $REUSE_CACHE_DIR when that environment variable is set, else
+/// the working directory.
 [[nodiscard]] std::string default_cache_path(const ScenarioConfig& config);
 
 /// Loads `config`'s cache (at `path` or its default location) and runs the

@@ -1,6 +1,5 @@
 #include "analysis/manifest.h"
 
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -13,26 +12,34 @@
 #include "simnet/faults.h"
 
 namespace reuse::analysis {
-namespace {
 
-void append_fault_plan(std::ostringstream& out, const sim::FaultPlan& plan) {
-  out << "{\"seed\": " << plan.seed
-      << ", \"episodes\": " << plan.episodes.size() << ", \"by_kind\": {";
-  // std::map: kinds render in sorted order, so equal plans render equally.
-  std::map<std::string, std::size_t> by_kind;
-  for (const sim::FaultEpisode& episode : plan.episodes) {
-    ++by_kind[std::string(sim::to_string(episode.kind))];
+void write_run_header(net::JsonWriter& out, std::string_view tool,
+                      const ScenarioConfig* config) {
+  out.field("schema_version", 1)
+      .field("tool", tool)
+      .field("calibration_version", kCalibrationVersion);
+  if (config != nullptr) {
+    out.field("config_fingerprint", net::hex16(config_fingerprint(*config)))
+        .field("seed", config->seed)
+        .field("as_count", config->world.as_count)
+        .field("probe_count", config->fleet.probe_count);
+  } else {
+    out.field("config_fingerprint", nullptr)
+        .field("seed", nullptr)
+        .field("as_count", nullptr)
+        .field("probe_count", nullptr);
   }
-  bool first = true;
-  for (const auto& [kind, count] : by_kind) {
-    if (!first) out << ", ";
-    first = false;
-    out << '"' << net::json_escape(kind) << "\": " << count;
-  }
-  out << "}}";
+  out.field("hardware_jobs", net::ThreadPool::hardware_jobs());
 }
 
-}  // namespace
+std::optional<std::string> write_report_file(const std::string& path,
+                                             std::string_view text) {
+  std::ofstream os(path, std::ios::trunc);
+  os << text;
+  os.close();  // flushes; a failed open, write or flush leaves failbit
+  if (os.fail()) return "cannot write " + path;
+  return std::nullopt;
+}
 
 std::string run_manifest_json(const RunManifestInfo& info) {
   // Touch the registration hooks of families a run may never exercise, so
@@ -41,50 +48,41 @@ std::string run_manifest_json(const RunManifestInfo& info) {
   (void)sim::FaultInjector(sim::FaultPlan{});
   net::detail::note_tasks_run(0);
 
-  std::ostringstream out;
-  out << "{\"schema_version\": 1";
-  out << ", \"tool\": \"" << net::json_escape(info.tool) << '"';
-  out << ", \"calibration_version\": " << kCalibrationVersion;
-  if (info.config != nullptr) {
-    out << ", \"config_fingerprint\": \""
-        << net::hex16(config_fingerprint(*info.config)) << '"';
-    out << ", \"seed\": " << info.config->seed;
-    out << ", \"jobs\": " << info.config->jobs;
-    out << ", \"fault_plan\": ";
-    append_fault_plan(out, info.config->faults);
+  const ScenarioConfig* config = info.config;
+  net::JsonWriter out;
+  out.begin_object();
+  write_run_header(out, info.tool, config);
+  if (config != nullptr) {
+    // std::map: kinds render in sorted order, so equal plans render equally.
+    std::map<std::string, std::size_t> by_kind;
+    for (const sim::FaultEpisode& episode : config->faults.episodes) {
+      ++by_kind[std::string(sim::to_string(episode.kind))];
+    }
+    out.field("jobs", config->jobs)
+        .key("fault_plan").begin_object()
+        .field("seed", config->faults.seed)
+        .field("episodes", config->faults.episodes.size())
+        .field("by_kind", by_kind)
+        .end();
   } else {
-    out << ", \"config_fingerprint\": null, \"seed\": null, \"jobs\": null"
-        << ", \"fault_plan\": null";
+    out.field("jobs", nullptr).field("fault_plan", nullptr);
   }
   if (info.cache_hit.has_value()) {
-    out << ", \"cache\": {\"consulted\": true, \"hit\": "
-        << (*info.cache_hit ? "true" : "false") << '}';
+    out.key("cache").begin_object()
+        .field("consulted", true)
+        .field("hit", *info.cache_hit)
+        .end();
   } else {
-    out << ", \"cache\": null";
+    out.field("cache", nullptr);
   }
-  if (info.snapshot_fingerprint.has_value()) {
-    out << ", \"snapshot_fingerprint\": \""
-        << net::json_escape(*info.snapshot_fingerprint) << '"';
-  } else {
-    out << ", \"snapshot_fingerprint\": null";
-  }
-  if (info.preset.has_value()) {
-    out << ", \"preset\": \"" << net::json_escape(*info.preset) << '"';
-  } else {
-    out << ", \"preset\": null";
-  }
-  if (info.sweep_cell_id.has_value()) {
-    out << ", \"sweep_cell_id\": \"" << net::json_escape(*info.sweep_cell_id)
-        << '"';
-  } else {
-    out << ", \"sweep_cell_id\": null";
-  }
+  out.field("snapshot_fingerprint", info.snapshot_fingerprint)
+      .field("preset", info.preset)
+      .field("sweep_cell_id", info.sweep_cell_id)
+      .key("stages");
   if (info.stage_times != nullptr) {
-    out << ", \"stages\": "
-        << info.stage_times->to_json(
-               info.config != nullptr ? info.config->jobs : 0);
+    info.stage_times->write_json(out, config != nullptr ? config->jobs : 0);
   } else {
-    out << ", \"stages\": null";
+    out.value(nullptr);
   }
   // Memory gauges are sampled here, at manifest time, not during the run:
   // VmHWM/VmRSS are wall-clock-dependent, and setting them any earlier
@@ -97,35 +95,30 @@ std::string run_manifest_json(const RunManifestInfo& info) {
   net::metrics::gauge("mem_current_rss_bytes",
                       "process resident set size (VmRSS) at manifest time")
       .set(static_cast<std::int64_t>(net::current_rss_bytes()));
-  out << ", \"metrics\": " << net::metrics::Registry::global().to_json();
-  out << '}';
-  return out.str();
+  net::metrics::Registry::global().write_json(out.key("metrics"));
+  return out.end().str();
 }
 
 std::optional<std::string> write_run_manifest(const std::string& path,
                                               const RunManifestInfo& info,
                                               net::MetricsFormat format) {
-  std::ofstream os(path, std::ios::trunc);
-  if (!os) return "cannot open metrics output file: " + path;
-  if (format == net::MetricsFormat::kPrometheus) {
-    // Exposition comments are free-form '#' lines (only HELP/TYPE are
-    // structured), so the run identity rides along without breaking
-    // scrapers. The manifest proper stays a JSON-only document.
-    os << "# run_manifest tool=" << info.tool;
-    if (info.config != nullptr) {
-      os << " config_fingerprint="
-         << net::hex16(config_fingerprint(*info.config));
-    }
-    if (info.snapshot_fingerprint.has_value()) {
-      os << " snapshot_fingerprint=" << *info.snapshot_fingerprint;
-    }
-    os << '\n' << net::metrics::Registry::global().to_prometheus();
-  } else {
-    os << run_manifest_json(info) << '\n';
+  if (format == net::MetricsFormat::kJson) {
+    return write_report_file(path, run_manifest_json(info));
   }
-  os.flush();
-  if (!os.good()) return "failed writing metrics output file: " + path;
-  return std::nullopt;
+  // Exposition comments are free-form '#' lines (only HELP/TYPE are
+  // structured), so the run identity rides along without breaking
+  // scrapers. The manifest proper stays a JSON-only document.
+  std::ostringstream os;
+  os << "# run_manifest tool=" << info.tool;
+  if (info.config != nullptr) {
+    os << " config_fingerprint="
+       << net::hex16(config_fingerprint(*info.config));
+  }
+  if (info.snapshot_fingerprint.has_value()) {
+    os << " snapshot_fingerprint=" << *info.snapshot_fingerprint;
+  }
+  os << '\n' << net::metrics::Registry::global().to_prometheus();
+  return write_report_file(path, os.str());
 }
 
 }  // namespace reuse::analysis

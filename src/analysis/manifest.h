@@ -11,9 +11,11 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "analysis/scenario.h"
 #include "netbase/flags.h"
+#include "netbase/json.h"
 
 namespace reuse::analysis {
 
@@ -38,11 +40,24 @@ struct RunManifestInfo {
   std::optional<std::string> sweep_cell_id;
 };
 
-/// Renders the manifest as one JSON object (schema_version 1):
-///   {"schema_version", "tool", "calibration_version",
-///    "config_fingerprint" (16-hex string | null), "seed" | null,
-///    "jobs" | null, "cache": {"consulted", "hit"} | null,
-///    "fault_plan": {"seed", "episodes", "by_kind"} | null,
+/// Writes the run identity that opens the run manifest and every BENCH
+/// file, as members of the object `out` has open: schema_version (1),
+/// tool, calibration_version, config_fingerprint (16 hex digits), seed,
+/// as_count, probe_count — the last four null when `config` is nullptr (no
+/// scenario ran) — and hardware_jobs.
+void write_run_header(net::JsonWriter& out, std::string_view tool,
+                      const ScenarioConfig* config);
+
+/// Writes `text` to `path` (truncating), flushes and closes it, and checks
+/// that every step landed. Returns a one-line diagnostic on failure,
+/// nullopt on success.
+[[nodiscard]] std::optional<std::string> write_report_file(
+    const std::string& path, std::string_view text);
+
+/// Renders the manifest as one JSON object: the run header
+/// (write_run_header), then
+///   {"jobs" | null, "fault_plan": {"seed", "episodes", "by_kind"} | null,
+///    "cache": {"consulted", "hit"} | null,
 ///    "snapshot_fingerprint" (16-hex string | null),
 ///    "preset" | null, "sweep_cell_id" | null,
 ///    "stages": StageTimer JSON | null, "metrics": registry snapshot}
@@ -53,7 +68,7 @@ struct RunManifestInfo {
 /// from a scenario-running tool covers all seven instrumented subsystems.
 [[nodiscard]] std::string run_manifest_json(const RunManifestInfo& info);
 
-/// Writes the manifest to `path` (plus a trailing newline). With
+/// Writes the manifest to `path` through write_report_file(). With
 /// MetricsFormat::kJson (the default) the file is run_manifest_json(info);
 /// with kPrometheus it is the metrics registry in Prometheus text
 /// exposition, prefixed by comment lines carrying the run identity (tool,

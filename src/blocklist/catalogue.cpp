@@ -91,7 +91,9 @@ std::vector<BlocklistInfo> build_catalogue(std::uint64_t seed) {
       info.maintainer = row.maintainer;
       info.name = std::string(row.maintainer);
       std::replace(info.name.begin(), info.name.end(), ' ', '-');
-      if (row.list_count > 1) info.name += "-" + std::to_string(i + 1);
+      if (row.list_count > 1) {
+        info.name.append("-").append(std::to_string(i + 1));
+      }
       info.category = row.maintainer == std::string_view("Bad IPs")
                           ? kBadIpsRotation[static_cast<std::size_t>(i) %
                                             std::size(kBadIpsRotation)]

@@ -129,40 +129,36 @@ void Registry::reset() {
   for (auto& [name, histogram] : histograms_) histogram->reset();
 }
 
-std::string Registry::to_json() const {
+void Registry::write_json(JsonWriter& out) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream out;
-  out << "{\"counters\": {";
-  bool first = true;
+  out.begin_object().key("counters").begin_object();
   for (const auto& [name, counter] : counters_) {
-    if (!first) out << ", ";
-    first = false;
-    out << '"' << json_escape(name) << "\": " << counter->value();
+    out.field(name, counter->value());
   }
-  out << "}, \"gauges\": {";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    if (!first) out << ", ";
-    first = false;
-    out << '"' << json_escape(name) << "\": " << gauge->value();
-  }
-  out << "}, \"histograms\": {";
-  first = true;
+  out.end().key("gauges").begin_object();
+  for (const auto& [name, gauge] : gauges_) out.field(name, gauge->value());
+  out.end().key("histograms").begin_object();
   for (const auto& [name, histogram] : histograms_) {
-    if (!first) out << ", ";
-    first = false;
-    out << '"' << json_escape(name) << "\": {\"buckets\": [";
+    out.key(name).begin_object().key("buckets").begin_array();
     const auto& bounds = histogram->bounds();
     for (std::size_t i = 0; i < bounds.size(); ++i) {
-      if (i > 0) out << ", ";
-      out << "{\"le\": " << bounds[i]
-          << ", \"count\": " << histogram->bucket_count(i) << '}';
+      out.begin_object()
+          .field("le", bounds[i])
+          .field("count", histogram->bucket_count(i))
+          .end();
     }
-    out << "], \"overflow\": " << histogram->bucket_count(bounds.size())
-        << ", \"sum\": " << histogram->sum()
-        << ", \"count\": " << histogram->count() << '}';
+    out.end()
+        .field("overflow", histogram->bucket_count(bounds.size()))
+        .field("sum", histogram->sum())
+        .field("count", histogram->count())
+        .end();
   }
-  out << "}}";
+  out.end().end();
+}
+
+std::string Registry::to_json() const {
+  JsonWriter out;
+  write_json(out);
   return out.str();
 }
 

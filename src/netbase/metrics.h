@@ -30,6 +30,8 @@
 #include <utility>
 #include <vector>
 
+#include "netbase/json.h"
+
 namespace reuse::net::metrics {
 
 /// Monotonically increasing event count.
@@ -129,10 +131,12 @@ class Registry {
   /// processes that run several scenarios and want per-run snapshots.
   void reset();
 
-  /// {"counters": {name: value, ...}, "gauges": {...},
-  ///  "histograms": {name: {"buckets": [{"le": B, "count": N}, ...],
-  ///                        "overflow": N, "sum": S, "count": N}}}
-  /// Names are sorted, so equal registries produce identical strings.
+  /// Writes one JSON object: {"counters": {name: value, ...}, "gauges":
+  /// {...}, "histograms": {name: {"buckets": [{"le": B, "count": N}, ...],
+  /// "overflow": N, "sum": S, "count": N}}}. Names are sorted, so equal
+  /// registries produce identical documents.
+  void write_json(JsonWriter& out) const;
+  /// write_json() as a standalone document.
   [[nodiscard]] std::string to_json() const;
 
   /// Prometheus text exposition format (# HELP / # TYPE / samples).

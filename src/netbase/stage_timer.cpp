@@ -3,20 +3,10 @@
 #include <time.h>
 
 #include <chrono>
-#include <sstream>
 
 #include "netbase/json.h"
 
 namespace reuse::net {
-
-void write_stage_map(std::ostream& out, const StageMillis& stages) {
-  out << '{';
-  for (std::size_t s = 0; s < stages.size(); ++s) {
-    if (s > 0) out << ", ";
-    out << '"' << json_escape(stages[s].first) << "\": " << stages[s].second;
-  }
-  out << '}';
-}
 
 double StageTimer::wall_now_millis() {
   return std::chrono::duration<double, std::milli>(
@@ -109,17 +99,20 @@ StageMillis StageTimer::cpu_map() const {
   return stages;
 }
 
-std::string StageTimer::to_json(int jobs) const {
-  std::ostringstream out;
-  out.precision(3);
-  out << std::fixed << "{\"jobs\": " << jobs
-      << ", \"total_millis\": " << total_millis() << ", \"stages\": ";
-  write_stage_map(out, wall_map());
+void StageTimer::write_json(JsonWriter& out, int jobs) const {
+  out.begin_object()
+      .field("jobs", jobs)
+      .field("total_millis", total_millis())
+      .field("stages", wall_map());
   if (const StageMillis cpu = cpu_map(); !cpu.empty()) {
-    out << ", \"stages_cpu\": ";
-    write_stage_map(out, cpu);
+    out.field("stages_cpu", cpu);
   }
-  out << '}';
+  out.end();
+}
+
+std::string StageTimer::to_json(int jobs) const {
+  JsonWriter out;
+  write_json(out, jobs);
   return out.str();
 }
 

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -38,13 +37,11 @@ struct StageTiming {
   std::uint64_t scopes = 0;
 };
 
-/// (stage, milliseconds) pairs in first-recorded order.
+/// (stage, milliseconds) pairs in first-recorded order; JsonWriter writes
+/// one as a `{"stage": millis, ...}` object.
 using StageMillis = std::vector<std::pair<std::string, double>>;
 
-/// Writes `{"stage": millis, ...}` with escaped stage names, at the
-/// stream's current precision — the one writer of every JSON stage map
-/// (StageTimer::to_json and the bench reports).
-void write_stage_map(std::ostream& out, const StageMillis& stages);
+class JsonWriter;
 
 class StageTimer {
  public:
@@ -94,9 +91,11 @@ class StageTimer {
   /// CPU milliseconds of the stages that recorded CPU attribution.
   [[nodiscard]] StageMillis cpu_map() const;
 
-  /// One JSON object: {"jobs": N, "total_millis": ..., "stages": {...},
-  /// "stages_cpu": {...}} — stages is wall_map(), stages_cpu is cpu_map()
-  /// and is omitted when empty.
+  /// Writes one JSON object: {"jobs": N, "total_millis": ..., "stages":
+  /// {...}, "stages_cpu": {...}} — stages is wall_map(), stages_cpu is
+  /// cpu_map() and is omitted when empty.
+  void write_json(JsonWriter& out, int jobs) const;
+  /// write_json() as a standalone document.
   [[nodiscard]] std::string to_json(int jobs) const;
 
   /// Runs `fn`, records its wall-clock under `stage`, and forwards its

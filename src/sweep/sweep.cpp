@@ -1,7 +1,6 @@
 #include "sweep/sweep.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <sstream>
@@ -16,6 +15,7 @@
 #include "netbase/serialize.h"
 #include "netbase/stage_timer.h"
 #include "netbase/stats.h"
+#include "netbase/table.h"
 #include "netbase/thread_pool.h"
 #include "sweep/cache_budget.h"
 
@@ -78,24 +78,13 @@ const AxisSpec* find_axis(const std::string& name) {
   return nullptr;
 }
 
-/// The sweep's cache file for `config`, inside the sweep's cache dir —
-/// same naming scheme as analysis::default_cache_path, but the directory
-/// is the sweep's own (so --cache-budget-mb never evicts a foreign
+/// The sweep's cache file for `config`: the standard cache file name, in
+/// the sweep's own directory (so --cache-budget-mb never evicts a foreign
 /// bench's cache).
 std::string cell_cache_path(const std::string& dir,
                             const analysis::ScenarioConfig& config) {
-  char name[80];
-  std::snprintf(name, sizeof(name), "reuse_scenario_%llu_%016llx.cache",
-                static_cast<unsigned long long>(config.seed),
-                static_cast<unsigned long long>(
-                    analysis::config_fingerprint(config)));
-  return (std::filesystem::path(dir) / name).string();
-}
-
-std::string format3(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.3f", value);
-  return buffer;
+  return (std::filesystem::path(dir) / analysis::cache_file_name(config))
+      .string();
 }
 
 const char* path_name(CellPath path) {
@@ -513,64 +502,58 @@ std::string render_report_markdown(const SweepReport& report) {
     out << cell.blocklisted_addresses << " | " << cell.reused_addresses
         << " | ";
     if (baseline != nullptr && baseline->reused_addresses > 0) {
-      out << format3(static_cast<double>(cell.reused_addresses) /
-                     static_cast<double>(baseline->reused_addresses));
+      out << net::fixed(static_cast<double>(cell.reused_addresses) /
+                            static_cast<double>(baseline->reused_addresses),
+                        3);
     } else {
       out << "—";
     }
     out << " | " << cell.nated_blocklisted << " | " << cell.dynamic_blocklisted
         << " | " << cell.nat_users_lower_bound << " | "
-        << format3(cell.listing_days_p50) << " | "
-        << format3(cell.listing_days_p90) << " | ok |\n";
+        << net::fixed(cell.listing_days_p50, 3) << " | "
+        << net::fixed(cell.listing_days_p90, 3) << " | ok |\n";
   }
   return out.str();
 }
 
 std::string render_report_json(const SweepReport& report) {
-  std::ostringstream out;
-  out << "{\n  \"schema_version\": 1,\n";
-  out << "  \"report_fingerprint\": \"" << net::hex16(report.report_fingerprint)
-      << "\",\n";
-  out << "  \"cells_total\": " << report.cells.size() << ",\n";
-  out << "  \"cells_failed\": " << report.cells_failed << ",\n";
-  out << "  \"cells_fresh\": " << report.fresh << ",\n";
-  out << "  \"cells_cache_hit\": " << report.cache_hits << ",\n";
-  out << "  \"cells_resumed\": " << report.resumed << ",\n";
-  out << "  \"cache_dir_bytes\": " << report.cache_dir_bytes << ",\n";
-  out << "  \"cache_bytes_evicted\": " << report.cache_bytes_evicted << ",\n";
-  out << "  \"cache_files_evicted\": " << report.cache_files_evicted << ",\n";
-  out << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < report.cells.size(); ++i) {
-    const CellResult& cell = report.cells[i];
-    out << "    {\"id\": \"" << net::json_escape(cell.id)
-        << "\", \"preset\": \"" << net::json_escape(cell.preset)
-        << "\", \"axes\": {";
-    for (std::size_t a = 0; a < cell.axis_values.size(); ++a) {
-      out << (a == 0 ? "" : ", ") << "\""
-          << net::json_escape(cell.axis_values[a].first) << "\": \""
-          << net::json_escape(cell.axis_values[a].second) << "\"";
-    }
-    out << "}, \"config_fingerprint\": \""
-        << net::hex16(cell.config_fingerprint)
-        << "\", \"failed\": " << (cell.failed ? "true" : "false");
+  net::JsonWriter out;
+  out.begin_object()
+      .field("schema_version", 1)
+      .field("report_fingerprint", net::hex16(report.report_fingerprint))
+      .field("cells_total", report.cells.size())
+      .field("cells_failed", report.cells_failed)
+      .field("cells_fresh", report.fresh)
+      .field("cells_cache_hit", report.cache_hits)
+      .field("cells_resumed", report.resumed)
+      .field("cache_dir_bytes", report.cache_dir_bytes)
+      .field("cache_bytes_evicted", report.cache_bytes_evicted)
+      .field("cache_files_evicted", report.cache_files_evicted)
+      .key("cells").begin_array();
+  for (const CellResult& cell : report.cells) {
+    out.begin_object()
+        .field("id", cell.id)
+        .field("preset", cell.preset)
+        .field("axes", cell.axis_values)
+        .field("config_fingerprint", net::hex16(cell.config_fingerprint))
+        .field("failed", cell.failed);
     if (cell.failed) {
-      out << ", \"error\": \"" << net::json_escape(cell.error) << "\"";
+      out.field("error", cell.error);
     } else {
-      out << ", \"blocklisted_addresses\": " << cell.blocklisted_addresses
-          << ", \"reused_addresses\": " << cell.reused_addresses
-          << ", \"nated_blocklisted\": " << cell.nated_blocklisted
-          << ", \"dynamic_blocklisted\": " << cell.dynamic_blocklisted
-          << ", \"total_listings\": " << cell.total_listings
-          << ", \"nat_users_lower_bound\": " << cell.nat_users_lower_bound
-          << ", \"listing_days_p50\": " << format3(cell.listing_days_p50)
-          << ", \"listing_days_p90\": " << format3(cell.listing_days_p90);
+      out.field("blocklisted_addresses", cell.blocklisted_addresses)
+          .field("reused_addresses", cell.reused_addresses)
+          .field("nated_blocklisted", cell.nated_blocklisted)
+          .field("dynamic_blocklisted", cell.dynamic_blocklisted)
+          .field("total_listings", cell.total_listings)
+          .field("nat_users_lower_bound", cell.nat_users_lower_bound)
+          .field("listing_days_p50", cell.listing_days_p50)
+          .field("listing_days_p90", cell.listing_days_p90);
     }
-    out << ", \"path\": \"" << path_name(cell.path)
-        << "\", \"wall_millis\": " << cell.wall_millis << "}"
-        << (i + 1 < report.cells.size() ? "," : "") << "\n";
+    out.field("path", path_name(cell.path))
+        .field("wall_millis", cell.wall_millis)
+        .end();
   }
-  out << "  ]\n}\n";
-  return out.str();
+  return out.end().end().str();
 }
 
 }  // namespace reuse::sweep

@@ -1,6 +1,7 @@
-// Unit tests for the metrics registry (netbase/metrics), the shared JSON
-// escape and fingerprint helpers, the stage timer (netbase/stage_timer) and
-// the crawl's use of it, and the run manifest.
+// Unit tests for the metrics registry (netbase/metrics), the JSON writer
+// and its escape and fingerprint helpers, the stage timer
+// (netbase/stage_timer) and the crawl's use of it, the run header and the
+// run manifest.
 //
 // The registry under test here is mostly a process-local instance so the
 // cases stay independent of what other code registered in the global
@@ -10,6 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <limits>
+#include <map>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -46,6 +54,109 @@ TEST(JsonHex16, ZeroPadsToSixteenLowerCaseDigits) {
   EXPECT_EQ(net::hex16(0xabcULL), "0000000000000abc");
   EXPECT_EQ(net::hex16(0x2e94cdb49f4b7137ULL), "2e94cdb49f4b7137");
   EXPECT_EQ(net::hex16(~0ULL), "ffffffffffffffff");
+}
+
+TEST(JsonWriter, ScalarOnlyContainerPrintsOnOneLine) {
+  net::JsonWriter out;
+  out.begin_object()
+      .key("cache").begin_object()
+      .field("consulted", true)
+      .field("hit", false)
+      .end()
+      .field("by_kind", std::map<std::string, int>{{"b", 2}, {"a", 1}})
+      .end();
+  EXPECT_EQ(out.str(),
+            "{\n"
+            "  \"cache\": {\"consulted\": true, \"hit\": false},\n"
+            "  \"by_kind\": {\"a\": 1, \"b\": 2}\n"
+            "}\n");
+}
+
+TEST(JsonWriter, ContainerHoldingAContainerBreaksWithTwoSpaceIndent) {
+  net::JsonWriter out;
+  out.begin_object()
+      .key("outer").begin_object()
+      .field("n", 1)
+      .key("inner").begin_object()
+      .field("x", 2)
+      .end()
+      .end()
+      .end();
+  EXPECT_EQ(out.str(),
+            "{\n"
+            "  \"outer\": {\n"
+            "    \"n\": 1,\n"
+            "    \"inner\": {\"x\": 2}\n"
+            "  }\n"
+            "}\n");
+}
+
+TEST(JsonWriter, ArrayOfObjectsPutsOneObjectPerLine) {
+  net::JsonWriter out;
+  out.begin_object().key("rows").begin_array();
+  for (int i = 0; i < 2; ++i) out.begin_object().field("i", i).end();
+  out.end().key("flat").begin_array().value(1).value("two").end().end();
+  EXPECT_EQ(out.str(),
+            "{\n"
+            "  \"rows\": [\n"
+            "    {\"i\": 0},\n"
+            "    {\"i\": 1}\n"
+            "  ],\n"
+            "  \"flat\": [1, \"two\"]\n"
+            "}\n");
+}
+
+TEST(JsonWriter, EmptyContainersPrintBare) {
+  net::JsonWriter out;
+  out.begin_object().key("none").begin_object().end();
+  out.key("nothing").begin_array().end();
+  EXPECT_EQ(out.end().str(), "{\n  \"none\": {},\n  \"nothing\": []\n}\n");
+  net::JsonWriter empty_root;
+  EXPECT_EQ(empty_root.begin_object().end().str(), "{}\n");
+}
+
+TEST(JsonWriter, ScalarOnlyRootStillBreaks) {
+  net::JsonWriter object;
+  object.begin_object().field("a", 1).field("b", "x").end();
+  EXPECT_EQ(object.str(), "{\n  \"a\": 1,\n  \"b\": \"x\"\n}\n");
+  net::JsonWriter array;
+  array.begin_array().value(1).value(2).end();
+  EXPECT_EQ(array.str(), "[\n  1,\n  2\n]\n");
+}
+
+TEST(JsonWriter, EscapesKeysAndValues) {
+  net::JsonWriter out;
+  out.begin_object().field("say \"hi\"\n", "tab\there \\ \x01").end();
+  EXPECT_EQ(out.str(),
+            "{\n  \"say \\\"hi\\\"\\n\": \"tab\\there \\\\ \\u0001\"\n}\n");
+}
+
+TEST(JsonWriter, DoublesPrintWithThreeDecimals) {
+  net::JsonWriter out;
+  out.begin_array().value(1.5).value(2.0 / 3.0).value(1e6).value(-0.25);
+  EXPECT_EQ(out.end().str(),
+            "[\n  1.500,\n  0.667,\n  1000000.000,\n  -0.250\n]\n");
+}
+
+TEST(JsonWriter, IntegersPrintExactly) {
+  net::JsonWriter out;
+  out.begin_array()
+      .value(std::numeric_limits<std::uint64_t>::max())
+      .value(std::numeric_limits<std::int64_t>::min())
+      .end();
+  EXPECT_EQ(out.str(),
+            "[\n  18446744073709551615,\n  -9223372036854775808\n]\n");
+}
+
+TEST(JsonWriter, NullptrAndEmptyOptionalPrintNull) {
+  net::JsonWriter out;
+  out.begin_object()
+      .field("a", nullptr)
+      .field("b", std::optional<std::string>{})
+      .field("c", std::optional<int>{3})
+      .end();
+  EXPECT_EQ(out.str(),
+            "{\n  \"a\": null,\n  \"b\": null,\n  \"c\": 3\n}\n");
 }
 
 TEST(Metrics, CounterAccumulates) {
@@ -425,6 +536,75 @@ TEST(RunManifest, NullConfigRendersNullFieldsAndCrossCuttingFamilies) {
   EXPECT_NE(json.find("faults_bootstrap_blackholes_total"),
             std::string::npos);
   EXPECT_NE(json.find("pool_tasks_run_total"), std::string::npos);
+}
+
+/// A document's run identity: everything up to and including the
+/// hardware_jobs member, the last one the run header writes.
+std::string run_identity(const std::string& json) {
+  const std::size_t last = json.find("\"hardware_jobs\"");
+  if (last == std::string::npos) return "";
+  return json.substr(0, json.find('\n', last));
+}
+
+TEST(RunHeader, ManifestAndBenchFileShareOneIdentity) {
+  const analysis::ScenarioConfig config = analysis::test_scenario_config(7);
+  net::JsonWriter bench;
+  bench.begin_object();
+  analysis::write_run_header(bench, "unit_test", &config);
+  const std::string header = run_identity(bench.field("runs", 3).end().str());
+  EXPECT_EQ(header.rfind("{\n  \"schema_version\": 1,\n"
+                         "  \"tool\": \"unit_test\",\n"
+                         "  \"calibration_version\": " +
+                             std::to_string(analysis::kCalibrationVersion) +
+                             ",\n",
+                         0),
+            0u);
+  EXPECT_NE(header.find("\"config_fingerprint\": \"" +
+                        net::hex16(analysis::config_fingerprint(config)) +
+                        "\""),
+            std::string::npos);
+  EXPECT_NE(header.find("\"seed\": 7,\n  \"as_count\": 120,\n"
+                        "  \"probe_count\": 800,\n  \"hardware_jobs\": " +
+                        std::to_string(net::ThreadPool::hardware_jobs())),
+            std::string::npos);
+  analysis::RunManifestInfo info;
+  info.tool = "unit_test";
+  info.config = &config;
+  EXPECT_EQ(run_identity(analysis::run_manifest_json(info)), header);
+
+  // Without a scenario the scenario fields are null.
+  net::JsonWriter bare;
+  bare.begin_object();
+  analysis::write_run_header(bare, "unit_test", nullptr);
+  const std::string null_header =
+      run_identity(bare.field("runs", 3).end().str());
+  EXPECT_NE(null_header.find("\"config_fingerprint\": null,\n"
+                             "  \"seed\": null,\n"
+                             "  \"as_count\": null,\n"
+                             "  \"probe_count\": null,\n"),
+            std::string::npos);
+  info.config = nullptr;
+  EXPECT_EQ(run_identity(analysis::run_manifest_json(info)), null_header);
+}
+
+TEST(ReportFile, WritesTheWholeTextOrReturnsOneDiagnostic) {
+  const std::string path = ::testing::TempDir() + "report_file_test.json";
+  ASSERT_EQ(analysis::write_report_file(path, "{}\n"), std::nullopt);
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), "{}\n");
+  std::remove(path.c_str());
+
+  const std::string missing = ::testing::TempDir() + "no_such_dir/r.json";
+  EXPECT_EQ(analysis::write_report_file(missing, "{}\n"),
+            "cannot write " + missing);
+  // /dev/full opens fine and fails only when the buffered text is flushed:
+  // a check of the open alone would report success.
+  if (std::filesystem::exists("/dev/full")) {
+    EXPECT_EQ(analysis::write_report_file("/dev/full", "{}\n"),
+              "cannot write /dev/full");
+  }
 }
 
 TEST(RunManifest, StageTimesAndCacheVerdictRender) {

@@ -406,71 +406,67 @@ int main(int argc, char** argv) {
                   reload_attempts_failed == 1;
     reconciled &= delta_applied;
 
-    std::ostringstream json;
-    json.precision(3);
-    json << std::fixed;
-    json << "{\n"
-         << "  \"transport\": \"" << (server ? "socket" : "engine") << "\",\n"
-         << "  \"workload_seed\": " << load_config.seed << ",\n"
-         << "  \"clients\": " << load_config.clients << ",\n"
-         << "  \"batch\": " << load_config.batch_size << ",\n"
-         << "  \"queries\": " << load.submitted * load_config.batch_size
-         << ",\n"
-         << "  \"target_qps\": " << load_config.target_qps << ",\n"
-         << "  \"max_in_flight\": " << load_config.max_in_flight << ",\n"
-         << "  \"server\": ";
+    net::JsonWriter json;
+    json.begin_object();
+    analysis::write_run_header(json, "reuse_lookupd", manifest.config);
+    json.field("transport", server ? "socket" : "engine")
+        .field("workload_seed", load_config.seed)
+        .field("clients", load_config.clients)
+        .field("batch", load_config.batch_size)
+        .field("queries", load.submitted * load_config.batch_size)
+        .field("target_qps", load_config.target_qps)
+        .field("max_in_flight", load_config.max_in_flight);
     if (server) {
-      json << "{\"workers\": " << server_config.workers
-           << ", \"queue_depth\": " << server_config.max_queue
-           << ", \"deadline_ms\": " << server_config.deadline_ms
-           << ", \"chaos_clients\": " << *chaos_clients << "}";
+      json.key("server").begin_object()
+          .field("workers", server_config.workers)
+          .field("queue_depth", server_config.max_queue)
+          .field("deadline_ms", server_config.deadline_ms)
+          .field("chaos_clients", *chaos_clients)
+          .end();
     } else {
-      json << "null";
+      json.field("server", nullptr);
     }
-    json << ",\n"
-         << "  \"submitted\": " << stats.submitted_total() << ",\n"
-         << "  \"served\": " << stats.served << ",\n"
-         << "  \"shed\": " << stats.shed_total() << ",\n"
-         << "  \"rejected\": " << stats.rejected_total() << ",\n"
-         << "  \"evicted\": " << stats.clients_evicted << ",\n"
-         << "  \"served_listed\": " << stats.served_listed << ",\n"
-         << "  \"served_reused\": " << stats.served_reused << ",\n"
-         << "  \"reloads\": " << engine.reloads() << ",\n"
-         << "  \"reload_failures\": " << engine.reload_failures() << ",\n"
-         << "  \"delta_applied\": " << (delta_applied ? "true" : "false")
-         << ",\n"
-         << "  \"wall_seconds\": " << load.wall_seconds << ",\n"
-         << "  \"throughput_qps\": " << load.throughput_qps << ",\n"
-         << "  \"p50_nanos\": " << load.p50_nanos << ",\n"
-         << "  \"p99_nanos\": " << load.p99_nanos << ",\n"
-         << "  \"p999_nanos\": " << load.p999_nanos << ",\n"
-         << "  \"max_nanos\": " << load.max_nanos << ",\n"
-         << "  \"send_late_p50_nanos\": " << load.send_late_p50_nanos << ",\n"
-         << "  \"send_late_p99_nanos\": " << load.send_late_p99_nanos << ",\n"
-         << "  \"snapshot\": {\n"
-         << "    \"entries\": " << snapshot->entry_count() << ",\n"
-         << "    \"buckets\": " << snapshot->bucket_count() << ",\n"
-         << "    \"dynamic24\": " << snapshot->dynamic24_count() << ",\n"
-         << "    \"top_lists\": " << snapshot->top_lists().size() << ",\n"
-         << "    \"fingerprint\": \"" << snapshot->fingerprint_hex()
-         << "\",\n"
-         << "    \"source_fingerprint\": \""
-         << net::hex16(snapshot->source_fingerprint()) << "\"\n"
-         << "  },\n"
-         << "  \"reconciled\": " << (reconciled ? "true" : "false") << "\n"
-         << "}\n";
+    const std::string text =
+        json.field("submitted", stats.submitted_total())
+            .field("served", stats.served)
+            .field("shed", stats.shed_total())
+            .field("rejected", stats.rejected_total())
+            .field("evicted", stats.clients_evicted)
+            .field("served_listed", stats.served_listed)
+            .field("served_reused", stats.served_reused)
+            .field("reloads", engine.reloads())
+            .field("reload_failures", engine.reload_failures())
+            .field("delta_applied", delta_applied)
+            .field("wall_seconds", load.wall_seconds)
+            .field("throughput_qps", load.throughput_qps)
+            .field("p50_nanos", load.p50_nanos)
+            .field("p99_nanos", load.p99_nanos)
+            .field("p999_nanos", load.p999_nanos)
+            .field("max_nanos", load.max_nanos)
+            .field("send_late_p50_nanos", load.send_late_p50_nanos)
+            .field("send_late_p99_nanos", load.send_late_p99_nanos)
+            .key("snapshot").begin_object()
+            .field("entries", snapshot->entry_count())
+            .field("buckets", snapshot->bucket_count())
+            .field("dynamic24", snapshot->dynamic24_count())
+            .field("top_lists", snapshot->top_lists().size())
+            .field("fingerprint", snapshot->fingerprint_hex())
+            .field("source_fingerprint",
+                   net::hex16(snapshot->source_fingerprint()))
+            .end()
+            .field("reconciled", reconciled)
+            .end()
+            .str();
 
     const std::string bench_path =
         flags.has("bench-out")
             ? flags.get("bench-out")
             : (server ? "BENCH_lookupd.json" : "BENCH_lookup.json");
-    std::ofstream bench(bench_path);
-    if (!bench) {
-      std::cerr << "error: cannot write " << bench_path << '\n';
+    if (const auto error = analysis::write_report_file(bench_path, text)) {
+      std::cerr << "error: " << *error << '\n';
       return 1;
     }
-    bench << json.str();
-    std::cout << json.str();
+    std::cout << text;
     if (!reconciled) {
       std::cerr << "error: serving ledger failed to reconcile (see "
                 << bench_path << ")\n";

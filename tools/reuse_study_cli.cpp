@@ -265,7 +265,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  std::cerr << "stage times: " << s.stage_times.to_json(config.jobs) << '\n';
+  std::cerr << "stage times: " << s.stage_times.to_json(config.jobs);
   if (flags.has("metrics-out")) {
     analysis::RunManifestInfo manifest;
     manifest.tool = "reuse_study";
