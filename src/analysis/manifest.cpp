@@ -87,14 +87,15 @@ std::string run_manifest_json(const RunManifestInfo& info) {
   // Memory gauges are sampled here, at manifest time, not during the run:
   // VmHWM/VmRSS are wall-clock-dependent, and setting them any earlier
   // would plant nondeterministic values in metric snapshots that the
-  // parallel-equivalence tests compare across jobs values.
+  // equivalence lattice compares across jobs values. VmRSS is read first:
+  // VmHWM never falls, so the later peak read is never below it.
+  net::metrics::gauge("mem_current_rss_bytes",
+                      "process resident set size (VmRSS) at manifest time")
+      .set(static_cast<std::int64_t>(net::current_rss_bytes()));
   net::metrics::gauge("mem_peak_rss_bytes",
                       "process peak resident set size (VmHWM) at manifest "
                       "time")
       .set(static_cast<std::int64_t>(net::peak_rss_bytes()));
-  net::metrics::gauge("mem_current_rss_bytes",
-                      "process resident set size (VmRSS) at manifest time")
-      .set(static_cast<std::int64_t>(net::current_rss_bytes()));
   net::metrics::Registry::global().write_json(out.key("metrics"));
   return out.end().str();
 }

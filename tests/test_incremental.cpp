@@ -1,11 +1,10 @@
-// The incremental pipeline's two contracts (DESIGN § incremental pipeline):
+// The incremental pipeline's contracts (DESIGN § incremental pipeline).
+// That a resume, or a chain of them, is byte-identical to a fresh run is
+// checked by the equivalence lattice (test_equivalence.cpp). This file
+// checks the rest:
 //
-//  1. Resume is byte-identical: evolving a cached N-day scenario +K days
-//     must produce the same products fingerprint as simulating N+K days
-//     from scratch — across worker counts, under chaos, and when chained
-//     (N -> N+K -> N+2K). A fast-but-divergent resume would silently skew
-//     every figure derived from the evolved run, so equivalence is tested
-//     on the same fingerprint CI cross-checks.
+//  1. Resume refuses what it cannot reproduce: a base whose horizon does not
+//     cover the extension falls back to a fresh run.
 //
 //  2. Deltas are exact or rejected: a snapshot delta applies onto exactly
 //     the base it was diffed from (reproducing the full rebuild bit for
@@ -14,14 +13,11 @@
 //     serving when handed a mismatched or corrupt delta.
 //
 // The IncrementalDelta.DeltaApplyDuringQuery case doubles as the TSan
-// target for delta publication racing live queries, and
-// Incremental.SmallResumeAtEightJobsRoundTrips race-checks the shared
-// stage runner (see ci.yml).
+// target for delta publication racing live queries (see ci.yml).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -35,12 +31,10 @@ namespace reuse {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Scenario-level resume equivalence
+// Scenario-level resume fallback
 
 analysis::ScenarioConfig incremental_config(std::uint64_t seed, int base_days,
-                                            int extra_days, int jobs = 1,
-                                            bool chaos = false,
-                                            bool restrict = true) {
+                                            int extra_days) {
   analysis::ScenarioConfig config;
   config.seed = seed;
   config.world = inet::test_world_config(seed);
@@ -48,8 +42,6 @@ analysis::ScenarioConfig incremental_config(std::uint64_t seed, int base_days,
   config.crawl_days = 1;
   config.fleet.probe_count = 100;
   config.run_census = false;
-  config.jobs = jobs;
-  config.restrict_crawler_to_blocklisted = restrict;
   // One collection period ending at `base_days`, with the abuse horizon
   // declared past it — the precondition for a prefix-stable event stream
   // (and exactly what reuse_study --resume-days sets up).
@@ -57,152 +49,8 @@ analysis::ScenarioConfig incremental_config(std::uint64_t seed, int base_days,
       net::SimTime(0),
       net::SimTime(static_cast<std::int64_t>(base_days) * 86400)}};
   config.horizon_days = base_days + extra_days;
-  if (chaos) {
-    config.faults = analysis::default_chaos_plan(config, /*chaos_seed=*/3);
-    config.pipeline.max_change_gap = net::Duration::days(7);
-  }
   config.finalize();
   return config;
-}
-
-std::uint64_t fingerprint_of(const analysis::Scenario& s) {
-  return analysis::products_fingerprint(s.crawl, s.ecosystem, s.fleet,
-                                        s.pipeline, s.census);
-}
-
-bool ran_stage(const analysis::StageTimer& timer, std::string_view stage) {
-  for (const analysis::StageTiming& timing : timer.timings()) {
-    if (timing.stage == stage) return true;
-  }
-  return false;
-}
-
-// Caches a 24-day base, evolves it 6 days at 1 and 8 workers and checks
-// each result against a fresh run of the extended config — products,
-// degradation, and which crawl branch ran. With the crawler restricted to
-// blocklisted /24s the extension moves that set, so the crawl re-runs;
-// unrestricted, the cached crawl is reused. `jobs` is outside the config
-// fingerprint, so every worker count resumes from the one base file.
-void expect_resume_matches_fresh(bool chaos, bool restrict) {
-  constexpr int kBaseDays = 24;
-  constexpr int kExtraDays = 6;
-  const auto config = incremental_config(9, kBaseDays, kExtraDays, /*jobs=*/1,
-                                         chaos, restrict);
-  const std::string tag =
-      "_c" + std::to_string(chaos) + "_r" + std::to_string(restrict);
-  const std::string base_path = "test_incremental_base" + tag + ".cache";
-  std::remove(base_path.c_str());
-  ASSERT_FALSE(analysis::run_scenario_cached(config, base_path).cache_hit);
-  const analysis::Scenario fresh = analysis::run_scenario(
-      analysis::extend_scenario_days(config, kExtraDays));
-
-  for (const int jobs : {1, 8}) {
-    SCOPED_TRACE("jobs " + std::to_string(jobs));
-    auto base_config = config;
-    base_config.jobs = jobs;
-    const std::string ext_path =
-        "test_incremental_ext" + tag + "_j" + std::to_string(jobs) + ".cache";
-    std::remove(ext_path.c_str());
-    const analysis::EvolvedScenario evolved = analysis::evolve_scenario_cached(
-        base_config, kExtraDays, base_path, ext_path);
-    ASSERT_EQ(evolved.path, analysis::EvolvePath::kResumed);
-    EXPECT_EQ(ran_stage(evolved.scenario.stage_times, "crawl"), restrict);
-    EXPECT_EQ(fingerprint_of(evolved.scenario), fingerprint_of(fresh));
-    // The composed fault ledger equals the fresh run's and still
-    // reconciles against the products.
-    EXPECT_EQ(evolved.scenario.degradation, fresh.degradation);
-    EXPECT_TRUE(evolved.scenario.degradation.reconciles());
-
-    // The evolve saved the extended run, so a later load is a plain hit.
-    EXPECT_TRUE(analysis::run_scenario_cached(
-                    analysis::extend_scenario_days(base_config, kExtraDays),
-                    ext_path)
-                    .cache_hit);
-    std::remove(ext_path.c_str());
-  }
-  std::remove(base_path.c_str());
-}
-
-TEST(Incremental, ResumeIsByteIdenticalToFreshRunAcrossJobs) {
-  expect_resume_matches_fresh(/*chaos=*/false, /*restrict=*/true);
-}
-
-TEST(Incremental, ResumeIsByteIdenticalUnderChaos) {
-  expect_resume_matches_fresh(/*chaos=*/true, /*restrict=*/true);
-}
-
-TEST(Incremental, ResumeReusingCrawlIsByteIdenticalAcrossJobs) {
-  expect_resume_matches_fresh(/*chaos=*/false, /*restrict=*/false);
-}
-
-TEST(Incremental, ResumeReusingCrawlIsByteIdenticalUnderChaos) {
-  expect_resume_matches_fresh(/*chaos=*/true, /*restrict=*/false);
-}
-
-// A small chaotic world run entirely at 8 workers: a fresh base, a resume
-// that re-runs the crawl, and a plain cache hit of the resumed file all go
-// through the shared stage runner's parallel stages. Sized so the sanitizer
-// build in CI race-checks it well inside the per-test timeout; equivalence
-// with a fresh run is the cases above.
-TEST(Incremental, SmallResumeAtEightJobsRoundTrips) {
-  constexpr int kBaseDays = 6;
-  constexpr int kExtraDays = 2;
-  auto config = incremental_config(5, kBaseDays, kExtraDays, /*jobs=*/8,
-                                   /*chaos=*/true);
-  config.world.as_count = 5;
-  config.world.bt_adoption_max = 0.05;
-  config.fleet.probe_count = 40;
-  const std::string base_path = "test_incremental_small_base.cache";
-  const std::string ext_path = "test_incremental_small_ext.cache";
-  std::remove(base_path.c_str());
-  std::remove(ext_path.c_str());
-
-  ASSERT_FALSE(analysis::run_scenario_cached(config, base_path).cache_hit);
-  const analysis::EvolvedScenario evolved = analysis::evolve_scenario_cached(
-      config, kExtraDays, base_path, ext_path);
-  ASSERT_EQ(evolved.path, analysis::EvolvePath::kResumed);
-  EXPECT_TRUE(ran_stage(evolved.scenario.stage_times, "crawl"));
-  EXPECT_TRUE(evolved.scenario.degradation.reconciles());
-  const analysis::Scenario hit = analysis::run_scenario_cached(
-      analysis::extend_scenario_days(config, kExtraDays), ext_path);
-  EXPECT_TRUE(hit.cache_hit);
-  EXPECT_EQ(fingerprint_of(hit), fingerprint_of(evolved.scenario));
-  EXPECT_EQ(hit.degradation, evolved.scenario.degradation);
-
-  std::remove(base_path.c_str());
-  std::remove(ext_path.c_str());
-}
-
-TEST(Incremental, ChainedResumesMatchOneFreshRun) {
-  constexpr int kBaseDays = 20;
-  constexpr int kStepDays = 4;
-  // Horizon covers BOTH steps up front, so N -> N+K -> N+2K all share one
-  // event stream.
-  const auto config = incremental_config(9, kBaseDays, 2 * kStepDays);
-  const std::string base_path = "test_incremental_chain_base.cache";
-  const std::string mid_path = "test_incremental_chain_mid.cache";
-  const std::string end_path = "test_incremental_chain_end.cache";
-  std::remove(base_path.c_str());
-  std::remove(mid_path.c_str());
-  std::remove(end_path.c_str());
-
-  ASSERT_FALSE(analysis::run_scenario_cached(config, base_path).cache_hit);
-  const analysis::EvolvedScenario mid = analysis::evolve_scenario_cached(
-      config, kStepDays, base_path, mid_path);
-  ASSERT_EQ(mid.path, analysis::EvolvePath::kResumed);
-  const auto mid_config = analysis::extend_scenario_days(config, kStepDays);
-  const analysis::EvolvedScenario end = analysis::evolve_scenario_cached(
-      mid_config, kStepDays, mid_path, end_path);
-  ASSERT_EQ(end.path, analysis::EvolvePath::kResumed);
-
-  const auto full_config =
-      analysis::extend_scenario_days(config, 2 * kStepDays);
-  const analysis::Scenario fresh = analysis::run_scenario(full_config);
-  EXPECT_EQ(fingerprint_of(end.scenario), fingerprint_of(fresh));
-
-  std::remove(base_path.c_str());
-  std::remove(mid_path.c_str());
-  std::remove(end_path.c_str());
 }
 
 TEST(Incremental, HorizonTooShortFallsBackToFreshRun) {

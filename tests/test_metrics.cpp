@@ -536,6 +536,9 @@ TEST(RunManifest, NullConfigRendersNullFieldsAndCrossCuttingFamilies) {
   EXPECT_NE(json.find("faults_bootstrap_blackholes_total"),
             std::string::npos);
   EXPECT_NE(json.find("pool_tasks_run_total"), std::string::npos);
+  // The manifest reads VmRSS before VmHWM, which never falls.
+  EXPECT_GE(net::metrics::gauge("mem_peak_rss_bytes", "").value(),
+            net::metrics::gauge("mem_current_rss_bytes", "").value());
 }
 
 /// A document's run identity: everything up to and including the

@@ -118,15 +118,5 @@ TEST_F(ScenarioTest, CoverageCurvesPlateauBelowBlocklistedCurve) {
   EXPECT_GT(coverage.ases_with_bittorrent, 0u);
 }
 
-TEST_F(ScenarioTest, DeterministicAcrossRuns) {
-  const Scenario again = run_scenario(config());
-  EXPECT_EQ(again.ecosystem.store.listing_count(),
-            scenario().ecosystem.store.listing_count());
-  EXPECT_EQ(again.crawl.nated.size(), scenario().crawl.nated.size());
-  EXPECT_EQ(again.pipeline.probes_daily, scenario().pipeline.probes_daily);
-  EXPECT_EQ(again.census.dynamic_blocks.size(),
-            scenario().census.dynamic_blocks.size());
-}
-
 }  // namespace
 }  // namespace reuse::analysis

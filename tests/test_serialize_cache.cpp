@@ -152,20 +152,6 @@ TEST_F(CacheRoundTrip, MismatchedConfigIsRejected) {
       analysis::load_scenario_cache("nonexistent.cache", config).has_value());
 }
 
-TEST_F(CacheRoundTrip, RunScenarioCachedHitsOnSecondCall) {
-  const auto config = tiny_config();
-  const analysis::CachedScenario first =
-      analysis::run_scenario_cached(config, path_);
-  EXPECT_FALSE(first.cache_hit);
-  const analysis::CachedScenario second =
-      analysis::run_scenario_cached(config, path_);
-  EXPECT_TRUE(second.cache_hit);
-  EXPECT_EQ(first.crawl.nated, second.crawl.nated);
-  EXPECT_EQ(first.ecosystem.store.listing_count(),
-            second.ecosystem.store.listing_count());
-  EXPECT_EQ(first.pipeline.probes_daily, second.pipeline.probes_daily);
-}
-
 TEST_F(CacheRoundTrip, FeedHealthPerListSurvivesTheRoundTrip) {
   // Under a chaos plan the per-list health vector carries the interesting
   // fields: quarantined/salvaged days and per-list skipped-line counts.

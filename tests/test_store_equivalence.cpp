@@ -3,9 +3,9 @@
 // replaced — one IntervalSet per (list, address) pair in a map. The oracle
 // here *is* that old structure, reimplemented in ~30 lines; fuzzed workloads
 // (point records, spans, duplicates, interleaved lists) drive both and
-// compare every read surface. A second group checks the consumers that sit
-// on top — scenario products across --jobs values and under a chaos plan —
-// so the store swap is covered end to end.
+// compare every read surface. The scenario products built on the store are
+// compared across --jobs values and under a chaos plan by the equivalence
+// lattice (test_equivalence.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/scenario.h"
 #include "blocklist/catalogue.h"
 #include "blocklist/ecosystem.h"
 #include "blocklist/store.h"
@@ -308,45 +307,3 @@ TEST(StoreEquivalence, RecordOrderReachesNoProduct) {
 
 }  // namespace
 }  // namespace reuse::blocklist
-
-namespace reuse::analysis {
-namespace {
-
-// The store feeds every downstream product (listings, NAT fanout joins,
-// census blocks); the scenario fingerprint hashes them all. Identical
-// fingerprints across --jobs values and under a chaos plan prove the
-// compressed store keeps the parallel and fault paths byte-stable too.
-TEST(StoreEquivalence, ScenarioFingerprintStableAcrossJobsAndChaos) {
-  ScenarioConfig config;
-  config.seed = 11;
-  config.world = inet::test_world_config(11);
-  config.world.as_count = 24;
-  config.crawl_days = 1;
-  config.fleet.probe_count = 60;
-  config.run_census = true;
-  config.census.window = {net::SimTime(0), net::SimTime(2 * 86400)};
-  config.finalize();
-
-  const auto fingerprint_at = [&](int jobs, bool chaos) {
-    ScenarioConfig run = config;
-    run.jobs = jobs;
-    if (chaos) run.faults = default_chaos_plan(run, run.seed);
-    run.finalize();
-    const Scenario scenario = run_scenario(run);
-    return products_fingerprint(scenario.crawl, scenario.ecosystem,
-                                scenario.fleet, scenario.pipeline,
-                                scenario.census);
-  };
-
-  const std::uint64_t baseline = fingerprint_at(1, false);
-  EXPECT_EQ(fingerprint_at(2, false), baseline);
-  EXPECT_EQ(fingerprint_at(8, false), baseline);
-
-  const std::uint64_t chaos_baseline = fingerprint_at(1, true);
-  EXPECT_NE(chaos_baseline, baseline);
-  EXPECT_EQ(fingerprint_at(2, true), chaos_baseline);
-  EXPECT_EQ(fingerprint_at(8, true), chaos_baseline);
-}
-
-}  // namespace
-}  // namespace reuse::analysis

@@ -109,12 +109,13 @@ int main(int argc, char** argv) {
   auto write_out = [&](const std::string& flag, const char* title,
                        const std::vector<net::Ipv4Address>& addresses) {
     if (!flags.has(flag)) return true;
-    std::ofstream os(flags.get(flag));
-    if (!os) {
-      std::cerr << "error: cannot write " << flags.get(flag) << '\n';
+    std::ostringstream os;
+    blocklist::write_list(os, title, addresses);
+    if (const auto error =
+            analysis::write_report_file(flags.get(flag), os.str())) {
+      std::cerr << "error: " << *error << '\n';
       return false;
     }
-    blocklist::write_list(os, title, addresses);
     return true;
   };
   if (!write_out("block-out", "hard-block entries", block)) return 1;

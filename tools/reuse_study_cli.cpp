@@ -8,8 +8,8 @@
 //               [--cache [--cache-file PATH]] [--resume-days K]
 //               [--chaos [--chaos-seed N]] [--metrics-out FILE]
 #include <filesystem>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 
 #include "analysis/cache.h"
 #include "analysis/greylist.h"
@@ -206,24 +206,35 @@ int main(int argc, char** argv) {
   std::error_code ec;
   std::filesystem::create_directories(out_dir, ec);
 
+  // Every artifact goes through the one checked writer: a file that cannot
+  // be written is an error, not a silent loss.
+  const auto write_artifact = [&](const char* name, const std::string& text) {
+    const auto error =
+        analysis::write_report_file((out_dir / name).string(), text);
+    if (error) std::cerr << "error: " << *error << '\n';
+    return !error;
+  };
+
   // 1. The published artifact: reused blocklisted addresses.
   const auto reused = analysis::build_reused_address_list(
       s.ecosystem.store, s.crawl.nated_set, s.pipeline.dynamic_prefixes);
   {
-    std::ofstream os(out_dir / "reused_addresses.txt");
+    std::ostringstream os;
     std::vector<net::Ipv4Address> addresses;
     addresses.reserve(reused.size());
     for (const auto& entry : reused) addresses.push_back(entry.address);
     blocklist::write_list(os, "reused blocklisted addresses", addresses);
+    if (!write_artifact("reused_addresses.txt", os.str())) return 1;
   }
 
   // 2. Dynamic prefixes.
   {
-    std::ofstream os(out_dir / "dynamic_prefixes.txt");
-    os << "# dynamically allocated /24 prefixes (Atlas pipeline)\n";
+    std::string text =
+        "# dynamically allocated /24 prefixes (Atlas pipeline)\n";
     for (const auto& prefix : s.pipeline.dynamic_prefixes.to_vector()) {
-      os << prefix.to_string() << '\n';
+      text += prefix.to_string() + '\n';
     }
+    if (!write_artifact("dynamic_prefixes.txt", text)) return 1;
   }
 
   // 3. Per-list reuse counts, CSV.
@@ -236,8 +247,7 @@ int main(int argc, char** argv) {
                      std::to_string(counts.nated_addresses),
                      std::to_string(counts.dynamic_addresses)});
     }
-    std::ofstream os(out_dir / "per_list_reuse.csv");
-    os << table.to_csv();
+    if (!write_artifact("per_list_reuse.csv", table.to_csv())) return 1;
   }
 
   // 4. Human summary.

@@ -8,12 +8,14 @@
 //
 // The report pair (sweep_report.md deterministic, sweep_report.json with
 // wall times and cache attribution) lands in --out-dir. Exit 0 when every
-// cell succeeded, 1 when any cell failed (the report is still written),
-// 2 on bad flags.
+// cell succeeded, 1 when any cell failed (the report is still written) or a
+// report cannot be written, 2 on bad flags.
 #include <filesystem>
-#include <fstream>
 #include <iostream>
+#include <string>
+#include <utility>
 
+#include "analysis/manifest.h"
 #include "analysis/presets.h"
 #include "netbase/flags.h"
 #include "sweep/sweep.h"
@@ -154,15 +156,17 @@ int main(int argc, char** argv) {
 
   const sweep::SweepReport report = sweep::run_sweep(sweep_config);
 
-  {
-    std::ofstream os(out_dir / "sweep_report.md");
-    os << sweep::render_report_markdown(report);
+  const std::string markdown = sweep::render_report_markdown(report);
+  for (const auto& [name, text] :
+       {std::pair{"sweep_report.md", markdown},
+        std::pair{"sweep_report.json", sweep::render_report_json(report)}}) {
+    if (const auto error =
+            analysis::write_report_file((out_dir / name).string(), text)) {
+      std::cerr << "error: " << *error << '\n';
+      return 1;
+    }
   }
-  {
-    std::ofstream os(out_dir / "sweep_report.json");
-    os << sweep::render_report_json(report);
-  }
-  std::cout << sweep::render_report_markdown(report);
+  std::cout << markdown;
   std::cerr << "cells: " << report.cells.size() << " (fresh " << report.fresh
             << ", cache hits " << report.cache_hits << ", resumed "
             << report.resumed << ", failed " << report.cells_failed << ")\n"
