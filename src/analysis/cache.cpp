@@ -6,9 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <system_error>
 #include <tuple>
 
@@ -22,9 +20,12 @@ constexpr std::uint64_t kMagic = 0x52455553454341ULL;  // "REUSECA"
 // v6: the payload gained the incremental-resume sections — per-feed carry
 // cursors (RNG state, live map, pickup counter) and the fleet products
 // keyed by a fleet-config fingerprint. v5 files (and any other version)
-// are rejected cleanly by the version check below and re-simulated; they
-// are never partially decoded.
+// are rejected cleanly by the envelope's version check and re-simulated;
+// they are never partially decoded.
 constexpr std::uint32_t kVersion = 6;
+// The format header is cache_header(): calibration version u32, config
+// fingerprint u64, seed u64, as_count u64.
+constexpr net::ArtifactFormat kFormat{kMagic, kVersion, 28, "scenario cache"};
 
 // Decoder bounds: a corrupt length prefix must fail the load immediately,
 // not drive a multi-billion-iteration read loop. All generously above
@@ -33,7 +34,6 @@ constexpr std::uint64_t kMaxEvidenceEntries = 1ULL << 32;
 constexpr std::uint64_t kMaxPortsPerIp = 65536;
 constexpr std::uint64_t kMaxListings = 1ULL << 33;
 constexpr std::uint64_t kMaxIntervalsPerListing = 1ULL << 22;
-constexpr std::uint64_t kMaxPayloadBytes = 1ULL << 34;
 constexpr std::uint64_t kMaxLists = 1ULL << 20;
 constexpr std::uint64_t kMaxLivePerFeed = 1ULL << 30;
 constexpr std::uint64_t kMaxProbes = 1ULL << 24;
@@ -103,9 +103,18 @@ bool read_crawl(net::BinaryReader& reader, CrawlOutput& crawl) {
   crawl.transport_fault_request_drops = reader.read<std::uint64_t>();
   crawl.transport_fault_response_drops = reader.read<std::uint64_t>();
 
+  // write_crawl emits the evidence in strictly ascending address order, so
+  // `nated` fills in the address order the live Crawler::nated() returns.
   const std::uint64_t evidence_count = reader.read_size(kMaxEvidenceEntries);
+  std::uint32_t previous = 0;
   for (std::uint64_t i = 0; i < evidence_count && reader.ok(); ++i) {
-    const net::Ipv4Address address(reader.read<std::uint32_t>());
+    const std::uint32_t value = reader.read<std::uint32_t>();
+    if (i > 0 && value <= previous) {
+      reader.fail();  // not the sorted, duplicate-free render write_crawl emits
+      break;
+    }
+    previous = value;
+    const net::Ipv4Address address(value);
     crawler::IpEvidence evidence;
     const std::uint64_t port_count = reader.read_size(kMaxPortsPerIp);
     for (std::uint64_t p = 0; p < port_count && reader.ok(); ++p) {
@@ -119,14 +128,8 @@ bool read_crawl(net::BinaryReader& reader, CrawlOutput& crawl) {
       crawl.nated.emplace_back(address, evidence.max_concurrent_users);
       crawl.nated_set.insert(address);
     }
-    if (!crawl.evidence.emplace(address, std::move(evidence)).second) {
-      reader.fail();  // duplicate address: not a product of write_crawl
-    }
+    crawl.evidence.emplace(address, std::move(evidence));
   }
-  // The live Crawler::nated() returns (address, users) pairs sorted by
-  // address; addresses are unique, so this sort reproduces its exact
-  // ordering and cache-hit runs match cache-miss runs byte for byte.
-  std::sort(crawl.nated.begin(), crawl.nated.end());
   return reader.ok();
 }
 
@@ -437,10 +440,22 @@ bool resumable(const ScenarioConfig& base, const ScenarioConfig& extended) {
          after.horizon == before.horizon;
 }
 
+/// The cache's format header: the calibration version and the three keys a
+/// file must carry to be loaded for `config`.
+std::string cache_header(const ScenarioConfig& config) {
+  std::string header;
+  net::BinaryWriter writer(header);
+  writer.write(kCalibrationVersion);
+  writer.write(config_fingerprint(config));
+  writer.write(config.seed);
+  writer.write(static_cast<std::uint64_t>(config.world.as_count));
+  return header;
+}
+
 }  // namespace
 
 std::uint64_t fleet_config_fingerprint(const atlas::FleetConfig& fleet) {
-  std::ostringstream buffer;
+  std::string buffer;
   net::BinaryWriter writer(buffer);
   writer.write(fleet.seed);
   writer.write(static_cast<std::uint64_t>(fleet.probe_count));
@@ -448,7 +463,7 @@ std::uint64_t fleet_config_fingerprint(const atlas::FleetConfig& fleet) {
   writer.write(fleet.window.end.seconds());
   writer.write(fleet.relocate_fraction);
   writer.write(fleet.keepalive.count());
-  return net::fnv1a_64(buffer.str());
+  return net::fnv1a_64(buffer);
 }
 
 CacheMetrics& cache_metrics() {
@@ -475,52 +490,14 @@ bool save_scenario_cache(const std::string& path, const ScenarioConfig& config,
                          const sim::FaultStats& injected,
                          const blocklist::EcosystemCarry* carry,
                          const atlas::AtlasFleet* fleet) {
-  // Serialize the payload up front so the header can carry its size and
-  // checksum, and so a failed serialization never touches the filesystem.
-  std::ostringstream payload_stream;
-  net::BinaryWriter payload_writer(payload_stream);
-  write_crawl(payload_writer, crawl);
-  write_store(payload_writer, ecosystem);
-  write_faults(payload_writer, injected);
-  write_carry(payload_writer, carry);
-  write_fleet(payload_writer, fleet, fleet_config_fingerprint(config.fleet));
-  if (!payload_writer.ok()) return false;
-  const std::string payload = payload_stream.str();
-  if (payload.size() > kMaxPayloadBytes) return false;
-
-  // Assemble under a pid-unique temporary name, then rename() into place.
-  // rename() replaces atomically, so a reader racing with this save sees
-  // either the previous complete file or the new one — never a torn write.
-  // Two concurrent savers of the same config write equivalent bytes and the
-  // last rename wins (accept-last-rename; no lock needed).
-  const std::string tmp_path =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  {
-    std::ofstream os(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!os) return false;
-    net::BinaryWriter writer(os);
-    writer.write(kMagic);
-    writer.write(kVersion);
-    writer.write(kCalibrationVersion);
-    writer.write(config_fingerprint(config));
-    writer.write(config.seed);
-    writer.write(static_cast<std::uint64_t>(config.world.as_count));
-    writer.write(static_cast<std::uint64_t>(payload.size()));
-    writer.write(net::fnv1a_64(payload));
-    os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    os.flush();
-    if (!os.good()) {
-      os.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp_path, ec);
-      return false;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, path, ec);
-  if (ec) {
-    std::error_code cleanup_ec;
-    std::filesystem::remove(tmp_path, cleanup_ec);
+  std::string payload;
+  net::BinaryWriter writer(payload);
+  write_crawl(writer, crawl);
+  write_store(writer, ecosystem);
+  write_faults(writer, injected);
+  write_carry(writer, carry);
+  write_fleet(writer, fleet, fleet_config_fingerprint(config.fleet));
+  if (!net::save_artifact(path, kFormat, cache_header(config), payload)) {
     return false;
   }
   cache_metrics().saves.increment();
@@ -531,54 +508,30 @@ bool save_scenario_cache(const std::string& path, const ScenarioConfig& config,
 std::optional<CachedCore> load_scenario_cache(const std::string& path,
                                               const ScenarioConfig& config) {
   CacheMetrics& metrics = cache_metrics();
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
+  const net::LoadedArtifact file = net::load_artifact(path, kFormat);
+  if (file.absent) {
     metrics.misses.increment();
     return std::nullopt;
   }
-  // Anything readable-but-invalid from here on is a *reject*: the file
-  // exists but cannot be trusted (stale version, foreign config, torn or
-  // corrupted payload) and the scenario re-simulates.
+  // Anything present-but-invalid is a *reject*: the file cannot be trusted
+  // (torn, corrupted, stale version, foreign config, bytes write_* did not
+  // emit) and the scenario re-simulates.
   const auto reject = [&metrics]() -> std::optional<CachedCore> {
     metrics.rejects.increment();
     return std::nullopt;
   };
-  net::BinaryReader reader(is);
-  if (reader.read<std::uint64_t>() != kMagic) return reject();
-  if (reader.read<std::uint32_t>() != kVersion) return reject();
-  if (reader.read<std::uint32_t>() != kCalibrationVersion) return reject();
-  if (reader.read<std::uint64_t>() != config_fingerprint(config)) {
-    return reject();
-  }
-  if (reader.read<std::uint64_t>() != config.seed) return reject();
-  if (reader.read<std::uint64_t>() !=
-      static_cast<std::uint64_t>(config.world.as_count)) {
-    return reject();
-  }
-  const std::uint64_t payload_size = reader.read_size(kMaxPayloadBytes);
-  const std::uint64_t expected_checksum = reader.read<std::uint64_t>();
-  if (!reader.ok()) return reject();
+  if (!file.ok() || file.header != cache_header(config)) return reject();
 
-  // Pull the whole payload and checksum it before decoding anything: a
-  // truncated file (crashed writer on a non-atomic filesystem, partial
-  // copy) or a bit flip is rejected here, in one bounded pass.
-  std::string payload(payload_size, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(payload_size));
-  if (static_cast<std::uint64_t>(is.gcount()) != payload_size) {
-    return reject();
-  }
-  if (net::fnv1a_64(payload) != expected_checksum) return reject();
-
-  std::istringstream payload_stream(std::move(payload));
-  net::BinaryReader payload_reader(payload_stream);
+  net::BinaryReader reader(file.payload);
   CachedCore core;
-  if (!read_crawl(payload_reader, core.crawl)) return reject();
-  if (!read_store(payload_reader, core.ecosystem)) return reject();
-  if (!read_faults(payload_reader, core.injected)) return reject();
-  if (!read_carry(payload_reader, core)) return reject();
-  if (!read_fleet(payload_reader, core)) return reject();
+  if (!read_crawl(reader, core.crawl) ||
+      !read_store(reader, core.ecosystem) ||
+      !read_faults(reader, core.injected) || !read_carry(reader, core) ||
+      !read_fleet(reader, core) || !reader.at_end()) {
+    return reject();
+  }
   metrics.hits.increment();
-  metrics.bytes_read.add(payload_size);
+  metrics.bytes_read.add(file.payload.size());
   return core;
 }
 

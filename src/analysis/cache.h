@@ -8,17 +8,19 @@
 // the full scenario configuration; world, catalogue, pipeline and census
 // are rebuilt on every load.
 //
-// File format (little-endian; see DESIGN.md "Scenario cache format"):
-//   magic, format version, calibration version, config fingerprint,
-//   seed, as_count, payload size, payload FNV-1a checksum, payload.
+// File format (little-endian; see DESIGN.md "Scenario cache format"): one
+// net::save_artifact envelope whose 28-byte format header holds the
+// calibration version, the config fingerprint, the seed and as_count:
+//   magic, format version, [calibration version, config fingerprint, seed,
+//   as_count], payload size, payload FNV-1a checksum, payload.
 // The payload holds the crawl output, the presence store, the fault
 // ledger, the feed carry and the fleet section, all written in sorted order
-// so the same configuration always produces byte-identical files. Writers
-// publish atomically: the file is assembled under
-// `<path>.tmp.<pid>` and rename()d into place, so concurrent readers see
-// either the previous complete cache or the new one, never a partial write.
-// Concurrent writers race benignly — every candidate is complete and
-// equivalent, and the last rename wins.
+// so the same configuration always produces byte-identical files. The
+// envelope publishes atomically (`<path>.tmp.<pid>`, then rename()), so
+// concurrent readers see either the previous complete cache or the new
+// one, and concurrent writers race benignly — the last rename wins. A load
+// fails closed on anything the save did not write: a declared size the file
+// does not hold, trailing bytes, a payload longer than its five sections.
 #pragma once
 
 #include <optional>
@@ -79,9 +81,11 @@ bool save_scenario_cache(const std::string& path, const ScenarioConfig& config,
                          const blocklist::EcosystemCarry* carry = nullptr,
                          const atlas::AtlasFleet* fleet = nullptr);
 
-/// Loads the cache if the file exists, parses, passes the payload checksum,
-/// and matches `config`'s fingerprint; nullopt otherwise. Truncated or
-/// bit-flipped files are rejected without unbounded reads.
+/// Loads the cache if the file exists, passes the envelope's checks, carries
+/// `config`'s format header and decodes to exactly its five sections;
+/// nullopt otherwise. An absent or unopenable path counts as a miss, every
+/// other refusal as a reject. Truncated, padded or bit-flipped files are
+/// rejected without reads or allocations beyond the file's size.
 [[nodiscard]] std::optional<CachedCore> load_scenario_cache(
     const std::string& path, const ScenarioConfig& config);
 

@@ -1,7 +1,6 @@
 #include "analysis/scenario.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "analysis/stage_runner.h"
 #include "blocklist/catalogue.h"
@@ -239,10 +238,10 @@ std::uint64_t config_fingerprint(const ScenarioConfig& config) {
   // sub-seeds and default periods, and is idempotent.
   ScenarioConfig finalized_config = config;
   finalized_config.finalize();
-  std::ostringstream buffer;
+  std::string buffer;
   net::BinaryWriter writer(buffer);
   write_fingerprint_fields(writer, finalized_config);
-  return net::fnv1a_64(buffer.str());
+  return net::fnv1a_64(buffer);
 }
 
 void ScenarioConfig::finalize() {
@@ -529,7 +528,7 @@ std::uint64_t products_fingerprint(const CrawlOutput& crawl,
                                    const atlas::AtlasFleet& fleet,
                                    const dynadetect::PipelineResult& pipeline,
                                    const census::CensusResult& census) {
-  std::ostringstream buffer;
+  std::string buffer;
   net::BinaryWriter w(buffer);
 
   auto write_prefix = [&](const net::Ipv4Prefix& prefix) {
@@ -686,7 +685,7 @@ std::uint64_t products_fingerprint(const CrawlOutput& crawl,
   }
   write_prefix_set(census.dynamic_blocks);
 
-  return net::fnv1a_64(buffer.str());
+  return net::fnv1a_64(buffer);
 }
 
 }  // namespace reuse::analysis

@@ -1,15 +1,9 @@
 #include "serve/snapshot.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
-#include <sstream>
-#include <system_error>
 #include <unordered_map>
 
 #include "netbase/json.h"
@@ -19,16 +13,17 @@
 namespace reuse::serve {
 namespace {
 
-constexpr std::uint64_t kMagic = kCompiledSnapshotMagic;
-constexpr std::uint32_t kFormatVersion = 1;
-constexpr std::uint64_t kDeltaMagic = kSnapshotDeltaMagic;
-constexpr std::uint32_t kDeltaFormatVersion = 1;
+// The snapshot's format header is its source fingerprint (u64); the
+// delta's is one reserved word, written as 0 and ignored on load.
+constexpr net::ArtifactFormat kSnapshotFormat{kCompiledSnapshotMagic, 1, 8,
+                                              "compiled snapshot"};
+constexpr net::ArtifactFormat kDeltaFormat{kSnapshotDeltaMagic, 1, 8,
+                                           "snapshot delta"};
 
 // Decoder bounds: a corrupt count must fail the load immediately, never
 // drive a multi-billion-element read loop. IPv4 caps everything naturally.
 constexpr std::uint64_t kMaxEntries = 1ULL << 32;
 constexpr std::uint64_t kMaxBuckets = 1ULL << 24;
-constexpr std::uint64_t kMaxPayloadBytes = 1ULL << 33;
 
 void write_u32_array(net::BinaryWriter& writer,
                      const std::vector<std::uint32_t>& values) {
@@ -80,52 +75,21 @@ void build_bucket_index(const std::vector<std::uint32_t>& addresses,
   if (buckets.empty()) offsets.clear();
 }
 
-/// Atomic artifact publish shared by snapshot and delta save(): header +
-/// payload assembled under a pid-unique temporary name, rename()d into
-/// place. A reader racing with this sees either the previous complete file
-/// or the new one.
-[[nodiscard]] bool save_framed(const std::string& path, std::uint64_t magic,
-                               std::uint32_t version,
-                               std::uint64_t header_extra,
-                               const std::string& payload) {
-  const std::string tmp_path =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  {
-    std::ofstream os(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!os) return false;
-    net::BinaryWriter writer(os);
-    writer.write(magic);
-    writer.write(version);
-    writer.write(header_extra);
-    writer.write(static_cast<std::uint64_t>(payload.size()));
-    writer.write(net::fnv1a_64(payload));
-    os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    os.flush();
-    if (!os.good()) {
-      os.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp_path, ec);
-      return false;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, path, ec);
-  if (ec) {
-    std::error_code cleanup_ec;
-    std::filesystem::remove(tmp_path, cleanup_ec);
-    return false;
-  }
-  return true;
+/// One u64 as the 8-byte format header save_artifact() frames.
+std::string header_word(std::uint64_t word) {
+  std::string header;
+  net::BinaryWriter writer(header);
+  writer.write(word);
+  return header;
 }
 
 }  // namespace
 
 std::uint64_t file_magic(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
-  if (!is) return 0;
-  net::BinaryReader reader(is);
-  const std::uint64_t magic = reader.read<std::uint64_t>();
-  return reader.ok() ? magic : 0;
+  char bytes[8];
+  if (!is.read(bytes, sizeof(bytes))) return 0;
+  return net::BinaryReader({bytes, sizeof(bytes)}).read<std::uint64_t>();
 }
 
 Verdict CompiledSnapshot::verdict(net::Ipv4Address address) const {
@@ -166,8 +130,8 @@ std::vector<net::Ipv4Address> CompiledSnapshot::entries_matching(
 }
 
 std::string CompiledSnapshot::payload_bytes() const {
-  std::ostringstream stream;
-  net::BinaryWriter writer(stream);
+  std::string payload;
+  net::BinaryWriter writer(payload);
   write_u32_array(writer, buckets_);
   write_u32_array(writer, bucket_offsets_);
   write_u32_array(writer, addresses_);
@@ -175,7 +139,7 @@ std::string CompiledSnapshot::payload_bytes() const {
   write_u32_array(writer, dynamic24_);
   writer.write(static_cast<std::uint64_t>(top_lists_.size()));
   for (const blocklist::ListId list : top_lists_) writer.write(list);
-  return stream.str();
+  return payload;
 }
 
 void CompiledSnapshot::seal() {
@@ -187,10 +151,8 @@ std::string CompiledSnapshot::fingerprint_hex() const {
 }
 
 bool CompiledSnapshot::save(const std::string& path) const {
-  const std::string payload = payload_bytes();
-  if (payload.size() > kMaxPayloadBytes) return false;
-  return save_framed(path, kMagic, kFormatVersion, source_fingerprint_,
-                     payload);
+  return net::save_artifact(path, kSnapshotFormat,
+                            header_word(source_fingerprint_), payload_bytes());
 }
 
 std::optional<CompiledSnapshot> CompiledSnapshot::load(
@@ -208,55 +170,13 @@ std::optional<CompiledSnapshot> CompiledSnapshot::load(
     return std::nullopt;
   };
 
-  std::error_code ec;
-  const std::filesystem::file_status status = std::filesystem::status(path, ec);
-  if (ec || status.type() == std::filesystem::file_type::not_found) {
-    return fail("path does not exist: " + path);
-  }
-  if (status.type() != std::filesystem::file_type::regular) {
-    return fail("not a regular file: " + path);
-  }
-  const std::uintmax_t file_size = std::filesystem::file_size(path, ec);
-  if (!ec && file_size == 0) {
-    return fail("zero-length file (mid-write artifact?): " + path);
-  }
+  const net::LoadedArtifact file = net::load_artifact(path, kSnapshotFormat);
+  if (!file.ok()) return fail(file.error);
 
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return fail("cannot open for reading: " + path);
-  net::BinaryReader reader(is);
-  const std::uint64_t magic = reader.read<std::uint64_t>();
-  if (!reader.ok()) {
-    return fail("file shorter than the header (mid-write artifact?)");
-  }
-  if (magic != kMagic) return fail("bad magic: not a compiled snapshot");
-  const std::uint32_t version = reader.read<std::uint32_t>();
-  if (reader.ok() && version != kFormatVersion) {
-    return fail("unsupported format version " + std::to_string(version));
-  }
-  const std::uint64_t source_fingerprint = reader.read<std::uint64_t>();
-  const std::uint64_t payload_size = reader.read_size(kMaxPayloadBytes);
-  const std::uint64_t checksum = reader.read<std::uint64_t>();
-  if (!reader.ok()) {
-    return fail("truncated header (mid-write artifact?)");
-  }
-
-  std::string payload(payload_size, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(payload_size));
-  if (static_cast<std::uint64_t>(is.gcount()) != payload_size) {
-    return fail("truncated payload: declared " + std::to_string(payload_size) +
-                " bytes, got " + std::to_string(is.gcount()));
-  }
-  if (is.peek() != std::char_traits<char>::eof()) {
-    return fail("trailing bytes after payload: not a product of save()");
-  }
-  if (net::fnv1a_64(payload) != checksum) {
-    return fail("payload checksum mismatch (bit flip or foreign writer)");
-  }
-
-  std::istringstream payload_stream(payload);
-  net::BinaryReader body(payload_stream);
   CompiledSnapshot snapshot;
-  snapshot.source_fingerprint_ = source_fingerprint;
+  snapshot.source_fingerprint_ =
+      net::BinaryReader(file.header).read<std::uint64_t>();
+  net::BinaryReader body(file.payload);
   if (!read_u32_array(body, kMaxBuckets, snapshot.buckets_) ||
       !read_u32_array(body, kMaxBuckets + 1, snapshot.bucket_offsets_) ||
       !read_u32_array(body, kMaxEntries, snapshot.addresses_) ||
@@ -272,9 +192,7 @@ std::optional<CompiledSnapshot> CompiledSnapshot::load(
     snapshot.top_lists_[i] = body.read<blocklist::ListId>();
   }
   if (!body.ok()) return fail("payload arrays inconsistent with their counts");
-  if (payload_stream.peek() != std::char_traits<char>::eof()) {
-    return fail("payload longer than its arrays");
-  }
+  if (!body.at_end()) return fail("payload longer than its arrays");
 
   // Structural invariants: the checksum catches random corruption, these
   // catch a well-formed file that could still index out of bounds.
@@ -487,8 +405,8 @@ SnapshotDelta SnapshotBuilder::diff(const CompiledSnapshot& base,
 }
 
 std::string SnapshotDelta::payload_bytes() const {
-  std::ostringstream stream;
-  net::BinaryWriter writer(stream);
+  std::string payload;
+  net::BinaryWriter writer(payload);
   writer.write(base_fingerprint_);
   writer.write(target_fingerprint_);
   writer.write(target_source_fingerprint_);
@@ -503,14 +421,12 @@ std::string SnapshotDelta::payload_bytes() const {
   writer.write(static_cast<std::uint8_t>(top_lists_changed_ ? 1 : 0));
   writer.write(static_cast<std::uint64_t>(top_lists_.size()));
   for (const blocklist::ListId list : top_lists_) writer.write(list);
-  return stream.str();
+  return payload;
 }
 
 bool SnapshotDelta::save(const std::string& path) const {
-  const std::string payload = payload_bytes();
-  if (payload.size() > kMaxPayloadBytes) return false;
-  return save_framed(path, kDeltaMagic, kDeltaFormatVersion,
-                     /*header_extra=*/0, payload);
+  return net::save_artifact(path, kDeltaFormat, header_word(0),
+                            payload_bytes());
 }
 
 std::optional<SnapshotDelta> SnapshotDelta::load(const std::string& path,
@@ -520,47 +436,10 @@ std::optional<SnapshotDelta> SnapshotDelta::load(const std::string& path,
     return std::nullopt;
   };
 
-  std::error_code ec;
-  const std::filesystem::file_status status = std::filesystem::status(path, ec);
-  if (ec || status.type() == std::filesystem::file_type::not_found) {
-    return fail("path does not exist: " + path);
-  }
-  if (status.type() != std::filesystem::file_type::regular) {
-    return fail("not a regular file: " + path);
-  }
+  const net::LoadedArtifact file = net::load_artifact(path, kDeltaFormat);
+  if (!file.ok()) return fail(file.error);
 
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return fail("cannot open for reading: " + path);
-  net::BinaryReader reader(is);
-  const std::uint64_t magic = reader.read<std::uint64_t>();
-  if (!reader.ok()) {
-    return fail("file shorter than the header (mid-write artifact?)");
-  }
-  if (magic != kDeltaMagic) return fail("bad magic: not a snapshot delta");
-  const std::uint32_t version = reader.read<std::uint32_t>();
-  if (reader.ok() && version != kDeltaFormatVersion) {
-    return fail("unsupported delta format version " + std::to_string(version));
-  }
-  (void)reader.read<std::uint64_t>();  // header_extra, reserved
-  const std::uint64_t payload_size = reader.read_size(kMaxPayloadBytes);
-  const std::uint64_t checksum = reader.read<std::uint64_t>();
-  if (!reader.ok()) return fail("truncated header (mid-write artifact?)");
-
-  std::string payload(payload_size, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(payload_size));
-  if (static_cast<std::uint64_t>(is.gcount()) != payload_size) {
-    return fail("truncated payload: declared " + std::to_string(payload_size) +
-                " bytes, got " + std::to_string(is.gcount()));
-  }
-  if (is.peek() != std::char_traits<char>::eof()) {
-    return fail("trailing bytes after payload: not a product of save()");
-  }
-  if (net::fnv1a_64(payload) != checksum) {
-    return fail("payload checksum mismatch (bit flip or foreign writer)");
-  }
-
-  std::istringstream payload_stream(payload);
-  net::BinaryReader body(payload_stream);
+  net::BinaryReader body(file.payload);
   SnapshotDelta delta;
   delta.base_fingerprint_ = body.read<std::uint64_t>();
   delta.target_fingerprint_ = body.read<std::uint64_t>();
@@ -589,9 +468,7 @@ std::optional<SnapshotDelta> SnapshotDelta::load(const std::string& path,
     delta.top_lists_[i] = body.read<blocklist::ListId>();
   }
   if (!body.ok()) return fail("payload arrays inconsistent with their counts");
-  if (payload_stream.peek() != std::char_traits<char>::eof()) {
-    return fail("payload longer than its arrays");
-  }
+  if (!body.at_end()) return fail("payload longer than its arrays");
 
   if (!strictly_increasing(delta.removed_) ||
       !strictly_increasing(delta.dynamic24_removed_) ||

@@ -22,10 +22,11 @@
 //     The same inputs always serialize to the same artifact (and the same
 //     fingerprint), which CI cross-checks against the run manifest.
 //
-// On-disk framing follows the scenario cache discipline (DESIGN.md §6/§10):
-// magic + versions + counts + payload size + FNV-1a payload checksum, then
-// the payload; loads are bounded, and truncation or bit-flips reject rather
-// than crash.
+// On disk the snapshot and its deltas are net::save_artifact envelopes
+// (DESIGN.md §6/§10), like the scenario cache: magic, version, an 8-byte
+// format header, payload size, FNV-1a payload checksum, then the payload.
+// Loads are bounded by the file, and truncation, trailing bytes or bit
+// flips reject with distinct diagnostics rather than crash.
 #pragma once
 
 #include <cstdint>
@@ -138,10 +139,10 @@ class CompiledSnapshot {
   /// false on I/O failure, in which case no partial file is left behind.
   [[nodiscard]] bool save(const std::string& path) const;
 
-  /// Loads and validates an artifact: magic, format version, bounded
-  /// payload size, FNV-1a payload checksum, and structural invariants
-  /// (sorted arrays, monotonic bucket offsets, entries filed under the
-  /// right /24). Truncated, oversized, or bit-flipped files return
+  /// Loads and validates an artifact: magic, format version, a payload
+  /// size the file actually holds, FNV-1a payload checksum, and structural
+  /// invariants (sorted arrays, monotonic bucket offsets, entries filed
+  /// under the right /24). Truncated, padded, or bit-flipped files return
   /// nullopt — never a partially initialized snapshot.
   [[nodiscard]] static std::optional<CompiledSnapshot> load(
       const std::string& path);
@@ -189,10 +190,10 @@ class CompiledSnapshot {
 /// delta can never silently produce a snapshot other than the one diff()
 /// saw, no matter what happened to the file in between.
 ///
-/// On-disk framing follows the snapshot discipline (own magic, version,
-/// bounded counts, FNV-1a payload checksum); CompiledSnapshot::load and
-/// SnapshotDelta::load each reject the other's files on magic alone, which
-/// is what lets LookupEngine::reload sniff the file kind.
+/// On disk it is the snapshot's artifact envelope with its own magic and a
+/// reserved header word; CompiledSnapshot::load and SnapshotDelta::load each
+/// reject the other's files on magic alone, which is what lets
+/// LookupEngine::reload sniff the file kind.
 class SnapshotDelta {
  public:
   /// Fingerprint of the snapshot this delta applies on top of.
@@ -228,9 +229,10 @@ class SnapshotDelta {
   /// Serializes atomically (tmp file + rename), like CompiledSnapshot.
   [[nodiscard]] bool save(const std::string& path) const;
 
-  /// Loads and validates a delta artifact: magic, version, bounded counts,
-  /// payload checksum, sorted-array invariants. Rejections carry distinct
-  /// diagnostics; a compiled-snapshot file is rejected on magic.
+  /// Loads and validates a delta artifact: the same envelope checks as
+  /// CompiledSnapshot::load, bounded counts, sorted-array invariants.
+  /// Rejections carry distinct diagnostics; a compiled-snapshot file is
+  /// rejected on magic.
   [[nodiscard]] static std::optional<SnapshotDelta> load(
       const std::string& path, std::string* error = nullptr);
 

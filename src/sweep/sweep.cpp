@@ -204,7 +204,7 @@ void run_cell(const SweepConfig& sweep, const SweepCell& cell,
 /// times and cache attribution are deliberately excluded: cold and warm
 /// sweeps of the same matrix must agree.
 std::uint64_t fingerprint_report(const std::vector<CellResult>& cells) {
-  std::ostringstream buffer;
+  std::string buffer;
   net::BinaryWriter w(buffer);
   w.write(static_cast<std::uint64_t>(cells.size()));
   for (const CellResult& cell : cells) {
@@ -226,7 +226,7 @@ std::uint64_t fingerprint_report(const std::vector<CellResult>& cells) {
     w.write(cell.listing_days_p50);
     w.write(cell.listing_days_p90);
   }
-  return net::fnv1a_64(buffer.str());
+  return net::fnv1a_64(buffer);
 }
 
 }  // namespace

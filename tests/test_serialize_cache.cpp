@@ -2,81 +2,109 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "analysis/cache.h"
+#include "netbase/mem.h"
 #include "netbase/serialize.h"
 
 namespace reuse {
 namespace {
 
+std::string read_all(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is), {});
+}
+
+void write_all(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
 TEST(BinarySerialize, IntegerRoundTripAllWidths) {
-  std::stringstream stream;
-  net::BinaryWriter writer(stream);
+  std::string bytes;
+  net::BinaryWriter writer(bytes);
   writer.write(std::uint8_t{0xAB});
   writer.write(std::uint16_t{0xBEEF});
   writer.write(std::uint32_t{0xDEADBEEF});
   writer.write(std::uint64_t{0x0123456789ABCDEFULL});
   writer.write(std::int64_t{-42});
   writer.write(3.14159);
-  writer.write(std::string("hello"));
-  ASSERT_TRUE(writer.ok());
+  writer.write("hello");
+  EXPECT_EQ(bytes.size(), 1u + 2 + 4 + 8 + 8 + 8 + 8 + 5);
+  EXPECT_EQ(bytes.substr(1, 2), "\xEF\xBE");  // little-endian
 
-  net::BinaryReader reader(stream);
+  net::BinaryReader reader(bytes);
   EXPECT_EQ(reader.read<std::uint8_t>(), 0xAB);
   EXPECT_EQ(reader.read<std::uint16_t>(), 0xBEEF);
   EXPECT_EQ(reader.read<std::uint32_t>(), 0xDEADBEEFu);
   EXPECT_EQ(reader.read<std::uint64_t>(), 0x0123456789ABCDEFULL);
   EXPECT_EQ(reader.read<std::int64_t>(), -42);
-  EXPECT_DOUBLE_EQ(reader.read_double(), 3.14159);
-  EXPECT_EQ(reader.read_string(), "hello");
+  EXPECT_EQ(reader.read<std::uint64_t>(),
+            std::bit_cast<std::uint64_t>(3.14159));
+  EXPECT_EQ(reader.read_size(1 << 10), 5u);
+  EXPECT_EQ(reader.read_bytes(5), "hello");
   EXPECT_TRUE(reader.ok());
+  EXPECT_TRUE(reader.at_end());
 }
 
 TEST(BinarySerialize, WriteSequenceRoundTrips) {
-  std::stringstream stream;
-  net::BinaryWriter writer(stream);
+  std::string bytes;
+  net::BinaryWriter writer(bytes);
   const std::vector<std::uint32_t> values{3, 1, 4, 1, 5, 9, 2, 6};
   writer.write_sequence(values, [](net::BinaryWriter& w, std::uint32_t v) {
     w.write(v);
   });
-  net::BinaryReader reader(stream);
+  net::BinaryReader reader(bytes);
   const auto count = reader.read_size(1 << 10);
   ASSERT_EQ(count, values.size());
   for (const std::uint32_t expected : values) {
+    EXPECT_FALSE(reader.at_end());
     EXPECT_EQ(reader.read<std::uint32_t>(), expected);
   }
   EXPECT_TRUE(reader.ok());
+  EXPECT_TRUE(reader.at_end());
 }
 
 TEST(BinarySerialize, OversizedStringIsRejected) {
-  std::stringstream stream;
-  net::BinaryWriter writer(stream);
+  // A length prefix longer than the bytes left is refused before it can
+  // size a buffer, however generous the caller's sanity limit.
+  std::string bytes;
+  net::BinaryWriter writer(bytes);
   writer.write(std::uint64_t{1ULL << 40});  // bogus string length
-  net::BinaryReader reader(stream);
-  EXPECT_EQ(reader.read_string(), "");
+  writer.write_bytes("hello");
+  net::BinaryReader reader(bytes);
+  EXPECT_EQ(reader.read_size(std::uint64_t{1} << 62), 0u);
   EXPECT_FALSE(reader.ok());
+  EXPECT_EQ(reader.read_bytes(5), "");
+  EXPECT_FALSE(reader.at_end());
 }
 
 TEST(BinarySerialize, CorruptLengthPoisonsStream) {
-  std::stringstream stream;
-  net::BinaryWriter writer(stream);
+  std::string bytes;
+  net::BinaryWriter writer(bytes);
   writer.write(std::uint64_t{1ULL << 60});  // absurd length prefix
-  net::BinaryReader reader(stream);
+  net::BinaryReader reader(bytes);
   EXPECT_EQ(reader.read_size(1 << 20), 0u);
   EXPECT_FALSE(reader.ok());
 }
 
 TEST(BinarySerialize, TruncatedStreamFailsCleanly) {
-  std::stringstream stream;
-  net::BinaryWriter writer(stream);
+  std::string bytes;
+  net::BinaryWriter writer(bytes);
   writer.write(std::uint32_t{7});
-  net::BinaryReader reader(stream);
+  net::BinaryReader reader(bytes);
   (void)reader.read<std::uint32_t>();
-  (void)reader.read<std::uint64_t>();  // past the end
+  EXPECT_TRUE(reader.at_end());
+  EXPECT_EQ(reader.read<std::uint64_t>(), 0u);  // past the end
+  EXPECT_FALSE(reader.ok());
+  EXPECT_FALSE(reader.at_end());
+  // Poisoned for good: later reads see nothing, even ones that would fit.
+  EXPECT_EQ(reader.read<std::uint8_t>(), 0u);
   EXPECT_FALSE(reader.ok());
 }
 
@@ -218,10 +246,6 @@ TEST_F(CacheRoundTrip, SavedBytesAreDeterministic) {
   ASSERT_TRUE(analysis::save_scenario_cache(second_path, config,
                                             original.crawl,
                                             original.ecosystem));
-  const auto read_all = [](const std::string& path) {
-    std::ifstream is(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(is), {});
-  };
   const std::string first_bytes = read_all(path_);
   EXPECT_FALSE(first_bytes.empty());
   EXPECT_EQ(first_bytes, read_all(second_path));
@@ -280,20 +304,14 @@ TEST_F(CacheRoundTrip, TruncatedFilesAreRejectedFast) {
   const analysis::Scenario original = analysis::run_scenario(config);
   ASSERT_TRUE(analysis::save_scenario_cache(path_, config, original.crawl,
                                             original.ecosystem));
-  std::string bytes;
-  {
-    std::ifstream is(path_, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(is), {});
-  }
+  const std::string bytes = read_all(path_);
   ASSERT_GT(bytes.size(), 64u);
   // Cut inside the header, just after it, mid-payload, and one byte short —
   // the loader must reject each without looping over a corrupt count.
   for (const std::size_t keep :
        {std::size_t{10}, std::size_t{63}, std::size_t{64},
         bytes.size() / 2, bytes.size() - 1}) {
-    std::ofstream os(path_, std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), static_cast<std::streamsize>(keep));
-    os.close();
+    write_all(path_, bytes.substr(0, keep));
     EXPECT_FALSE(analysis::load_scenario_cache(path_, config).has_value())
         << "truncation at " << keep << " bytes was not rejected";
   }
@@ -304,27 +322,65 @@ TEST_F(CacheRoundTrip, BitFlippedFilesAreRejected) {
   const analysis::Scenario original = analysis::run_scenario(config);
   ASSERT_TRUE(analysis::save_scenario_cache(path_, config, original.crawl,
                                             original.ecosystem));
-  std::string bytes;
-  {
-    std::ifstream is(path_, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(is), {});
-  }
+  const std::string bytes = read_all(path_);
   ASSERT_GT(bytes.size(), 64u);
   // Every header byte, then a sample of payload offsets. The payload
-  // checksum must catch every single-bit flip.
+  // checksum must catch every single-bit flip. Flipping byte 43 declares a
+  // payload 1 GiB larger than the file; the size field is bounded by the
+  // file, so no rejection may raise the peak RSS by more than a few
+  // payloads (under ASan freed payloads sit in quarantine).
   std::vector<std::size_t> offsets;
   for (std::size_t i = 0; i < 64; ++i) offsets.push_back(i);
   for (std::size_t i = 64; i < bytes.size(); i += 131) offsets.push_back(i);
   offsets.push_back(bytes.size() - 1);
+  std::uint64_t peak_growth = 0;
   for (const std::size_t offset : offsets) {
     std::string corrupt = bytes;
     corrupt[offset] = static_cast<char>(corrupt[offset] ^ 0x40);
-    std::ofstream os(path_, std::ios::binary | std::ios::trunc);
-    os.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
-    os.close();
+    write_all(path_, corrupt);
+    const std::uint64_t peak_before = net::peak_rss_bytes();
     EXPECT_FALSE(analysis::load_scenario_cache(path_, config).has_value())
         << "bit flip at offset " << offset << " was not rejected";
+    peak_growth = std::max(peak_growth, net::peak_rss_bytes() - peak_before);
   }
+  EXPECT_LT(peak_growth, std::uint64_t{64} << 20);
+}
+
+TEST_F(CacheRoundTrip, TrailingBytesAreRejected) {
+  const auto config = tiny_config();
+  const analysis::Scenario original = analysis::run_scenario(config);
+  ASSERT_TRUE(analysis::save_scenario_cache(path_, config, original.crawl,
+                                            original.ecosystem));
+  const std::string bytes = read_all(path_);
+  analysis::CacheMetrics& metrics = analysis::cache_metrics();
+  const std::uint64_t hits = metrics.hits.value();
+  const std::uint64_t rejects = metrics.rejects.value();
+
+  // Bytes appended after the payload the header declares.
+  write_all(path_, bytes + std::string(12, '\0'));
+  EXPECT_FALSE(analysis::load_scenario_cache(path_, config).has_value());
+
+  // A payload longer than its five sections, framed and checksummed by the
+  // envelope under the file's own magic, version and header.
+  net::BinaryReader reader(bytes);
+  net::ArtifactFormat format;
+  format.magic = reader.read<std::uint64_t>();
+  format.version = reader.read<std::uint32_t>();
+  format.header_bytes = 28;
+  const std::string_view header = reader.read_bytes(format.header_bytes);
+  ASSERT_TRUE(reader.ok());
+  // The payload follows the 56-byte fixed part (28 envelope + 28 header).
+  const std::string payload = bytes.substr(56) + '\0';
+  ASSERT_TRUE(net::save_artifact(path_, format, header, payload));
+  EXPECT_EQ(read_all(path_).size(), bytes.size() + 1);
+  EXPECT_FALSE(analysis::load_scenario_cache(path_, config).has_value());
+
+  EXPECT_EQ(metrics.rejects.value(), rejects + 2);
+  EXPECT_EQ(metrics.hits.value(), hits);
+  // The pristine bytes still load.
+  write_all(path_, bytes);
+  EXPECT_TRUE(analysis::load_scenario_cache(path_, config).has_value());
+  EXPECT_EQ(metrics.hits.value(), hits + 1);
 }
 
 TEST_F(CacheRoundTrip, SaveIsAtomicAgainstStaleTmpAndRereadable) {

@@ -1,6 +1,7 @@
 // The compiled serving snapshot: build semantics, byte determinism,
-// round-trip framing, and hostile-file rejection; and the load generator
-// over the in-process engine and a test transport.
+// round-trip framing, and hostile-file rejection of the snapshot and its
+// delta; and the load generator over the in-process engine and a test
+// transport.
 #include "serve/snapshot.h"
 
 #include <gtest/gtest.h>
@@ -10,10 +11,12 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
+#include "netbase/mem.h"
 #include "netbase/thread_pool.h"
 #include "serve/client.h"
 #include "serve/lookup.h"
@@ -69,6 +72,33 @@ std::string file_bytes(const std::string& path) {
   std::ostringstream buffer;
   buffer << is.rdbuf();
   return buffer.str();
+}
+
+/// A serve artifact kind: the fixture's instance saved to a path, and its
+/// own loader's verdict on a path (with the diagnostic in `*error`).
+struct ArtifactKind {
+  const char* name;
+  std::function<bool(const std::string&)> save;
+  std::function<bool(const std::string&, std::string*)> load;
+};
+
+/// The compiled snapshot and the delta that builds it from an empty one.
+std::vector<ArtifactKind> artifact_kinds(const Fixture& fx) {
+  return {
+      {"snapshot",
+       [&fx](const std::string& path) { return fx.build().save(path); },
+       [](const std::string& path, std::string* error) {
+         return CompiledSnapshot::load(path, error).has_value();
+       }},
+      {"delta",
+       [&fx](const std::string& path) {
+         return SnapshotBuilder::diff(SnapshotBuilder().build(), fx.build())
+             .save(path);
+       },
+       [](const std::string& path, std::string* error) {
+         return SnapshotDelta::load(path, error).has_value();
+       }},
+  };
 }
 
 class ServeArtifact : public ::testing::Test {
@@ -266,70 +296,86 @@ TEST(ServeEngine, RejectsNullPublishWithClearError) {
 
 TEST_F(ServeArtifact, RejectionMatrixYieldsDistinctDiagnostics) {
   const Fixture fx;
-  ASSERT_TRUE(fx.build().save(path_));
-  const std::string good = file_bytes(path_);
+  for (const ArtifactKind& kind : artifact_kinds(fx)) {
+    SCOPED_TRACE(kind.name);
+    ASSERT_TRUE(kind.save(path_));
+    const std::string good = file_bytes(path_);
 
-  auto diagnose = [&](const std::string& at) {
-    std::string error;
-    EXPECT_FALSE(CompiledSnapshot::load(at, &error).has_value());
-    return error;
-  };
-  auto write_variant = [&](const std::string& bytes) {
-    std::ofstream os(path_, std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  };
+    auto diagnose = [&](const std::string& at) {
+      std::string error;
+      EXPECT_FALSE(kind.load(at, &error));
+      return error;
+    };
+    auto write_variant = [&](const std::string& bytes) {
+      std::ofstream os(path_, std::ios::binary | std::ios::trunc);
+      os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    };
 
-  // Each failure mode must fail closed with its *own* message, so an
-  // operator staring at a failed reload knows which one hit.
-  const std::string missing = diagnose(path_ + ".nope");
-  EXPECT_NE(missing.find("does not exist"), std::string::npos) << missing;
+    // Each failure mode must fail closed with its *own* message, so an
+    // operator staring at a failed reload knows which one hit.
+    const std::string missing = diagnose(path_ + ".nope");
+    EXPECT_NE(missing.find("does not exist"), std::string::npos) << missing;
 
-  const std::string directory = diagnose(".");
-  EXPECT_NE(directory.find("not a regular file"), std::string::npos)
-      << directory;
+    const std::string directory = diagnose(".");
+    EXPECT_NE(directory.find("not a regular file"), std::string::npos)
+        << directory;
 
-  write_variant("");  // a crashed writer's just-created tmp file
-  const std::string zero = diagnose(path_);
-  EXPECT_NE(zero.find("zero-length"), std::string::npos) << zero;
+    write_variant("");  // a crashed writer's just-created tmp file
+    const std::string zero = diagnose(path_);
+    EXPECT_NE(zero.find("zero-length"), std::string::npos) << zero;
 
-  write_variant(good.substr(0, 12));  // died inside the header
-  const std::string header = diagnose(path_);
-  EXPECT_NE(header.find("header"), std::string::npos) << header;
+    write_variant(good.substr(0, 12));  // died inside the header
+    const std::string header = diagnose(path_);
+    EXPECT_NE(header.find("header"), std::string::npos) << header;
 
-  write_variant(good.substr(0, good.size() / 2));  // died inside the payload
-  const std::string payload = diagnose(path_);
-  EXPECT_NE(payload.find("truncated payload"), std::string::npos) << payload;
+    write_variant(good.substr(0, good.size() / 2));  // died inside the payload
+    const std::string payload = diagnose(path_);
+    EXPECT_NE(payload.find("truncated payload"), std::string::npos) << payload;
 
-  write_variant(good + "x");
-  const std::string trailing = diagnose(path_);
-  EXPECT_NE(trailing.find("trailing bytes"), std::string::npos) << trailing;
+    // Bit 30 of the payload size: declares 1 GiB more than the file holds,
+    // and must be refused before anything is sized by it.
+    std::string oversized = good;
+    oversized[23] = static_cast<char>(oversized[23] ^ 0x40);
+    write_variant(oversized);
+    const std::uint64_t peak_before = net::peak_rss_bytes();
+    const std::string declared = diagnose(path_);
+    EXPECT_LT(net::peak_rss_bytes() - peak_before, std::uint64_t{64} << 20);
+    EXPECT_NE(declared.find("truncated payload"), std::string::npos)
+        << declared;
 
-  std::string flipped = good;
-  flipped[good.size() - 3] = static_cast<char>(flipped[good.size() - 3] ^ 0x20);
-  write_variant(flipped);
-  const std::string checksum = diagnose(path_);
-  EXPECT_NE(checksum.find("checksum mismatch"), std::string::npos) << checksum;
+    write_variant(good + "x");
+    const std::string trailing = diagnose(path_);
+    EXPECT_NE(trailing.find("trailing bytes"), std::string::npos) << trailing;
 
-  std::string bad_magic = good;
-  bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x20);
-  write_variant(bad_magic);
-  const std::string magic = diagnose(path_);
-  EXPECT_NE(magic.find("bad magic"), std::string::npos) << magic;
+    std::string flipped = good;
+    const std::size_t last = good.size() - 3;
+    flipped[last] = static_cast<char>(flipped[last] ^ 0x20);
+    write_variant(flipped);
+    const std::string checksum = diagnose(path_);
+    EXPECT_NE(checksum.find("checksum mismatch"), std::string::npos)
+        << checksum;
 
-  // All eight diagnostics are pairwise distinct — no two modes collapse.
-  const std::vector<std::string> all{missing, directory, zero,     header,
-                                     payload, trailing,  checksum, magic};
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    for (std::size_t j = i + 1; j < all.size(); ++j) {
-      EXPECT_NE(all[i], all[j]) << "modes " << i << " and " << j;
+    std::string bad_magic = good;
+    bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x20);
+    write_variant(bad_magic);
+    const std::string magic = diagnose(path_);
+    EXPECT_NE(magic.find("bad magic"), std::string::npos) << magic;
+
+    // All eight diagnostics are pairwise distinct — no two modes collapse.
+    const std::vector<std::string> all{missing, directory, zero,     header,
+                                       payload, trailing,  checksum, magic};
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      for (std::size_t j = i + 1; j < all.size(); ++j) {
+        EXPECT_NE(all[i], all[j]) << "modes " << i << " and " << j;
+      }
     }
-  }
 
-  // And the pristine bytes still load, with no error text written.
-  write_variant(good);
-  std::string error = "untouched";
-  EXPECT_TRUE(CompiledSnapshot::load(path_, &error).has_value());
-  EXPECT_EQ(error, "untouched");
+    // And the pristine bytes still load, with no error text written.
+    write_variant(good);
+    std::string error = "untouched";
+    EXPECT_TRUE(kind.load(path_, &error));
+    EXPECT_EQ(error, "untouched");
+  }
 }
 
 TEST(ServeEngine, PublishSwapsAnswersAtomically) {
